@@ -19,6 +19,7 @@ from .errors import AnalysisError
 CATEGORIES = ("naive", "a", "b", "ab")
 METRICS = ("ceiling_mean", "ceiling_std", "inflection_mean")
 CEILING_WINDOW = 0.2  # trailing fraction of the series that defines the ceiling
+MIN_CEILING_STEPS = 5  # shortest series a ceiling is defined on
 MODE_PROMINENCE = 0.05  # local maxima below this fraction of the peak are noise
 KDE_GRID_SIZE = 512
 
@@ -43,7 +44,7 @@ def _window(length: int) -> int:
 def ceiling(series: np.ndarray) -> float:
     """Equilibrium level: mean of the trailing 20% (rounded up) of the series."""
     series = np.asarray(series)
-    if series.shape[-1] < 5:
+    if series.shape[-1] < MIN_CEILING_STEPS:
         raise AnalysisError(f"series too short for a ceiling (length {series.shape[-1]})")
     return float(series[-_window(series.shape[-1]):].mean())
 
@@ -62,7 +63,7 @@ def inflection(series: np.ndarray) -> int | None:
 
 def iteration_ceilings(counts: np.ndarray) -> np.ndarray:
     """(iterations, steps, 4) state counts -> (iterations, 4) ceilings per CATEGORIES."""
-    if counts.shape[1] < 5:
+    if counts.shape[1] < MIN_CEILING_STEPS:
         raise AnalysisError(f"series too short for a ceiling (length {counts.shape[1]})")
     w = _window(counts.shape[1])
     out = np.empty((counts.shape[0], len(CATEGORIES)))

@@ -15,7 +15,7 @@ import os
 import sys
 
 from .config import SweepSpec, enumerate_parameter_sets, load_spec, run_config_for
-from .engine import frozen_graph, stream, GRAPH_STREAM, build_graph
+from .engine import ITERATION_STREAM, iteration_graph, stream
 from .errors import AnalysisError, ConfigurationError, GraphGenerationError, IntegrationError
 from .kernel import DormancyParams, KernelParams
 from .meanfield import MeanFieldParams, MeanFieldState, integrate, write_trajectory
@@ -114,11 +114,8 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
 def _cmd_graph_dump(args: argparse.Namespace) -> int:
     spec = _load(args)
     cfg = run_config_for(spec, 0, spec.alphas[0], spec.tau_a[0], spec.tau_b[0])
-    if cfg.freeze_rrg or cfg.graph_mode == "single":
-        graph = frozen_graph(cfg)
-    else:
-        rng = stream(cfg.master_seed, 0, GRAPH_STREAM, 0)
-        graph = build_graph(cfg, rng, stream_label=f"({cfg.master_seed},0,graph)")
+    # The graph iteration 0 of parameter set 0 steps on.
+    graph = iteration_graph(cfg, 0, stream(cfg.master_seed, 0, ITERATION_STREAM, 0))
     os.makedirs(args.out, exist_ok=True)
     for layer, label in ((graph.layer_a, "A"), (graph.layer_b, "B")):
         path = os.path.join(args.out, f"layer_{label}.edgelist")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .analysis import MIN_CEILING_STEPS
 from .engine import DEFAULT_SEED, RunConfig
 from .errors import ConfigurationError
 from .kernel import ANNEALED, EXCLUSIVE, INCLUSIVE, QUENCHED, DormancyParams, KernelParams
@@ -105,7 +106,9 @@ def spec_from_dict(raw: dict) -> SweepSpec:
     if "iterations" in raw:
         spec.iterations = _integer(raw["iterations"], "iterations", 1)
     if "steps" in raw:
-        spec.steps = _integer(raw["steps"], "steps", 1)
+        # Every emitted set needs a ceiling, so reject a horizon too short for one
+        # here, before any compute or output.
+        spec.steps = _integer(raw["steps"], "steps", MIN_CEILING_STEPS)
     if "graph" in raw:
         g = raw["graph"]
         _require(isinstance(g, dict), "graph must be an object")

@@ -2,7 +2,7 @@
 
 A population is a pair of arrays: `states` (int8, one of NAIVE/STATE_A/STATE_B/
 STATE_AB) and `active` (bool). One step has two phases. Phase 1 (adoption) reads
-densities only from the pre-step buffer: every node draws against its adoption
+neighbor counts only from the pre-step buffer: every node draws against its adoption
 probability; naive adopters pick A or B by the relative-proportion split, single
 adopters add the other contagion (inclusive mode only), and at most one contagion
 is adopted per node per step. Dormancy is one-directional: a dormant single
@@ -10,27 +10,40 @@ adopter may still pick up the second contagion but stays dormant, never feeding
 either density again. Phase 2 (dormancy) switches off every active adopter,
 including same-step adopters, with its state's rate.
 
+Both layers are regular, so a node's adoption probability depends only on its
+state and its integer counts (ca, cb) of active carriers in its neighbor slots.
+A step therefore looks those up in tables built once per parameter set
+(`step_tables`), with the same float operations a per-node kernel evaluation
+would do, so every comparison sees the same bits.
+
 Randomness is counter-based (Philox) and addressed by
 (master_seed, param_index, stream, iteration), so any iteration of any parameter
 set can be reproduced bit-exactly from any process or worker count.
+
+A realization stops at absorption: once no node can fire, no state can change
+again (adoption never turns activity on and dormancy only turns it off, so
+carrier counts can only fall), and the remaining count rows repeat the last
+one. The skipped draws belong to that iteration's own stream and feed nothing
+else, so the series is the same as stepping the full horizon.
 """
 
 from __future__ import annotations
 
 import concurrent.futures as cf
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .kernel import (
+    EXCLUSIVE,
     NAIVE,
     QUENCHED,
     STATE_A,
     STATE_AB,
     STATE_B,
     DormancyParams,
-    EXCLUSIVE,
     KernelParams,
     hill_term_vec,
 )
@@ -78,14 +91,16 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class CountsSeries:
-    """Per-step node counts by state (columns naive, a, b, ab) plus a dormant channel.
+    """Per-step node counts by state (columns naive, a, b, ab) over the full horizon.
 
-    States are exclusive, so each row of `counts` sums to n. Counting ignores
-    activity; the dormant column is diagnostic only.
+    States are exclusive, so each row of `counts` sums to n; counting ignores
+    activity. `absorbed_at` is the number of steps actually simulated: rows from
+    there on repeat the absorbed row, and it equals the horizon when the run
+    never absorbed.
     """
 
     counts: np.ndarray  # (steps, 4) int64
-    dormant: np.ndarray  # (steps,) int64
+    absorbed_at: int
 
     @property
     def naive(self) -> np.ndarray:
@@ -106,10 +121,11 @@ class CountsSeries:
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
-    """Stacked per-iteration series for one parameter set."""
+    """Stacked per-iteration series for one parameter set, plus each iteration's
+    number of simulated steps (see `CountsSeries.absorbed_at`)."""
 
     counts: np.ndarray  # (iterations, steps, 4) int64
-    dormant: np.ndarray  # (iterations, steps) int64
+    absorbed_at: np.ndarray  # (iterations,) int64
 
     @property
     def iterations(self) -> int:
@@ -123,6 +139,55 @@ class EnsembleResult:
     def mean(self) -> np.ndarray:
         """(steps, 4) float64 mean of the four state counts over iterations."""
         return self.counts.mean(axis=0)
+
+
+@dataclass(frozen=True, eq=False)
+class StepTables:
+    """Everything a step reads from the kernel, indexed by integer neighbor counts.
+
+    `threshold[state, ca, cb]` is 1 - p (1.0 wherever the node cannot adopt),
+    `share[ca, cb]` the A share of a naive adoption and `rates[state]` the
+    dormancy rate (0 for naive nodes). Threshold and share are flattened, so a
+    node's entries sit at `key = state * share.size + cell` and
+    `cell = ca * (t_b + 1) + cb`. `index_dtype` is the narrowest unsigned type
+    that holds every key, and with it every count 0..t, without wrapping.
+    """
+
+    threshold: np.ndarray  # (4 * (t_a + 1) * (t_b + 1),) float64
+    share: np.ndarray  # ((t_a + 1) * (t_b + 1),) float64
+    rates: np.ndarray  # (4,) float64
+    index_dtype: np.dtype
+
+
+@functools.lru_cache(maxsize=64)
+def step_tables(kernel: KernelParams, dormancy: DormancyParams, t_a: int,
+                t_b: int) -> StepTables:
+    """Tables for layer widths t_a and t_b, built once per parameter set.
+
+    The densities are count / t, and every entry is computed with the float
+    operations of a per-node evaluation (`hill_term_vec`, the indicator-switched
+    sum, p = tot / (1 + tot), 1 - p and the guarded share division), so a lookup
+    returns exactly the value the node would have computed.
+    """
+    term_a = hill_term_vec(np.arange(t_a + 1) / t_a, kernel.k_a, kernel.alpha)
+    term_b = hill_term_vec(np.arange(t_b + 1) / t_b, kernel.k_b, kernel.alpha)
+    threshold = np.empty((4, t_a + 1, t_b + 1))
+    for state in (NAIVE, STATE_A, STATE_B, STATE_AB):
+        # A carried contagion switches its term off; exclusive adopters are immune.
+        immune = kernel.mode == EXCLUSIVE and state != NAIVE
+        ta = np.zeros_like(term_a) if immune or state & STATE_A else term_a
+        tb = np.zeros_like(term_b) if immune or state & STATE_B else term_b
+        tot = ta[:, None] + tb[None, :]
+        threshold[state] = 1.0 - tot / (1.0 + tot)
+    denom = term_a[:, None] + term_b[None, :]  # raw terms: the split ignores indicators
+    share = np.divide(np.broadcast_to(term_a[:, None], denom.shape), denom,
+                      out=np.zeros_like(denom), where=denom > 0.0)
+    rates = np.array([0.0, dormancy.tau_a, dormancy.tau_b, dormancy.tau_ab])
+    threshold, share = threshold.ravel(), share.ravel()
+    for table in (threshold, share, rates):
+        table.flags.writeable = False  # shared by every caller through the cache
+    return StepTables(threshold=threshold, share=share, rates=rates,
+                      index_dtype=np.min_scalar_type(threshold.size - 1))
 
 
 def seed_population(n: int, rng: np.random.Generator,
@@ -141,11 +206,17 @@ def seed_population(n: int, rng: np.random.Generator,
 
 def _neighbor_count(src: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Sum `src` over every node's neighbor list (column at a time: faster than
-    a 2-D gather and allocation-light)."""
+    a 2-D gather and allocation-light). The sum has `src`'s dtype; a bool sum
+    saturates at True ("some slot holds a source")."""
     acc = np.take(src, nbrs[:, 0])
     for j in range(1, nbrs.shape[1]):
         acc += np.take(src, nbrs[:, j])
     return acc
+
+
+def _carriers(states: np.ndarray, active: np.ndarray, bit: int) -> np.ndarray:
+    """Active nodes that carry the contagion with state bit `bit`."""
+    return ((states & bit) != 0) & active
 
 
 def step_with_draws(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
@@ -154,42 +225,49 @@ def step_with_draws(graph: MultiplexGraph, states: np.ndarray, active: np.ndarra
                     dorm_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One synchronous step with explicit per-node uniforms (deterministic)."""
     la, lb = graph.layer_a, graph.layer_b
-    has_a = (states == STATE_A) | (states == STATE_AB)
-    has_b = (states == STATE_B) | (states == STATE_AB)
-    src_a = (has_a & active).astype(np.float64)
-    src_b = (has_b & active).astype(np.float64)
-    dens_a = _neighbor_count(src_a, la.nbrs) / la.t
-    dens_b = _neighbor_count(src_b, lb.nbrs) / lb.t
+    tables = step_tables(kernel, dormancy, la.t, lb.t)
+    idt = tables.index_dtype
+    ca = _neighbor_count(_carriers(states, active, STATE_A).astype(idt), la.nbrs)
+    cb = _neighbor_count(_carriers(states, active, STATE_B).astype(idt), lb.nbrs)
 
-    term_a = hill_term_vec(dens_a, kernel.k_a, kernel.alpha)
-    term_b = hill_term_vec(dens_b, kernel.k_b, kernel.alpha)
-    ta = np.where(has_a, 0.0, term_a)
-    tb = np.where(has_b, 0.0, term_b)
-    if kernel.mode == EXCLUSIVE:
-        adopter = has_a | has_b
-        ta = np.where(adopter, 0.0, ta)
-        tb = np.where(adopter, 0.0, tb)
-    tot = ta + tb
-    p = tot / (1.0 + tot)
-    fired = adoption_u >= 1.0 - p  # P(fired) == p for U[0,1) draws; p == 0 never fires
+    cell = ca * (lb.t + 1)
+    cell += cb
+    key = states.astype(idt)
+    key *= tables.share.size
+    key += cell
+    # P(fired) == p for U[0,1) draws; p == 0 (threshold 1.0) never fires.
+    fired = np.flatnonzero(adoption_u >= tables.threshold.take(key))
 
     new_states = states.copy()
-    naive_fire = fired & (states == NAIVE)
-    if naive_fire.any():
-        denom = term_a + term_b  # raw terms: the choice split ignores indicators
-        share_a = np.divide(term_a, denom, out=np.zeros_like(denom), where=denom > 0.0)
-        pick_a = choice_u < share_a
-        new_states[naive_fire & pick_a] = STATE_A
-        new_states[naive_fire & ~pick_a] = STATE_B
-    new_states[fired & (states == STATE_A)] = STATE_AB
-    new_states[fired & (states == STATE_B)] = STATE_AB
+    if fired.size:
+        pick_a = choice_u[fired] < tables.share.take(cell[fired])
+        new_states[fired] = np.where(states[fired] != NAIVE, STATE_AB,
+                                     np.where(pick_a, STATE_A, STATE_B))
 
-    # Adoption leaves the activity flag untouched (one-directional dormancy).
-    new_active = active.copy()
-    rates = np.array([0.0, dormancy.tau_a, dormancy.tau_b, dormancy.tau_ab])[new_states]
-    asleep = (new_states != NAIVE) & new_active & (dorm_u < rates)
-    new_active[asleep] = False
+    # Adoption leaves the activity flag untouched (one-directional dormancy);
+    # naive nodes have rate 0, which no U[0,1) draw undercuts.
+    new_active = active & (dorm_u >= tables.rates.take(new_states))
     return new_states, new_active
+
+
+def can_fire(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
+             kernel: KernelParams) -> bool:
+    """True while some node lacks a contagion and has an active carrier of it in
+    its neighbor slots on that contagion's layer (in exclusive mode only naive
+    nodes lack one).
+
+    Structural: it reads carrier presence, not probabilities, so it is never
+    False while any adoption probability is positive, for every alpha >= 0,
+    underflow included.
+    """
+    for bit, layer in ((STATE_A, graph.layer_a), (STATE_B, graph.layer_b)):
+        carrier = _carriers(states, active, bit)
+        if not carrier.any():
+            continue
+        lacks = states == NAIVE if kernel.mode == EXCLUSIVE else (states & bit) == 0
+        if (lacks & _neighbor_count(carrier, layer.nbrs)).any():
+            return True
+    return False
 
 
 def step(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
@@ -226,32 +304,47 @@ def frozen_graph(config: RunConfig) -> MultiplexGraph:
     return build_graph(config, rng, stream_label=label)
 
 
+def iteration_graph(config: RunConfig, iteration: int,
+                    rng: np.random.Generator) -> MultiplexGraph:
+    """The graph iteration `iteration` steps on. `rng` is that iteration's stream;
+    a non-frozen multiplex graph takes its RRG pairing from it, first."""
+    if config.freeze_rrg:
+        return frozen_graph(config)
+    label = f"({config.master_seed},{config.param_index},{iteration})"
+    return build_graph(config, rng, stream_label=label)
+
+
 def run(config: RunConfig, iteration: int = 0,
         graph: MultiplexGraph | None = None) -> CountsSeries:
-    """One realization: (re)sample graph, seed, step `config.steps` times, count.
+    """One realization: (re)sample graph, seed, step until absorption or
+    `config.steps`, count.
 
     Draw order within the iteration stream is fixed (graph pairing, seed picks,
     quenched draws if any, then per step: adoption/choice/dormancy uniforms), so
-    a (config, iteration) pair maps to exactly one series.
+    a (config, iteration) pair maps to exactly one series. Absorption is tested
+    only after a step that left the count row unchanged: an absorbed population
+    produces such a step, so busy steps pay nothing for the test.
     """
     rng = stream(config.master_seed, config.param_index, ITERATION_STREAM, iteration)
     if graph is None:
-        if config.freeze_rrg:
-            graph = frozen_graph(config)
-        else:
-            label = f"({config.master_seed},{config.param_index},{iteration})"
-            graph = build_graph(config, rng, stream_label=label)
+        graph = iteration_graph(config, iteration, rng)
     states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
     quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
 
     counts = np.empty((config.steps, 4), dtype=np.int64)
-    dormant = np.empty(config.steps, dtype=np.int64)
-    for t in range(config.steps):
+    prev = np.bincount(states, minlength=4)
+    done = 0
+    while done < config.steps:
         states, active = step(graph, states, active, config.kernel, config.dormancy,
                               rng, quenched)
-        counts[t] = np.bincount(states, minlength=4)
-        dormant[t] = graph.n - int(active.sum())
-    return CountsSeries(counts=counts, dormant=dormant)
+        row = counts[done]
+        row[:] = np.bincount(states, minlength=4)
+        done += 1
+        if np.array_equal(row, prev) and not can_fire(graph, states, active, config.kernel):
+            break
+        prev = row
+    counts[done:] = counts[done - 1]
+    return CountsSeries(counts=counts, absorbed_at=done)
 
 
 def _run_iterations(config: RunConfig, iterations: list[int]) -> list[CountsSeries]:
@@ -278,5 +371,5 @@ def run_ensemble(config: RunConfig, iterations: int, workers: int = 1) -> Ensemb
                 for i, cs in zip(futures[fut], fut.result()):
                     series[i] = cs
     counts = np.stack([cs.counts for cs in series])
-    dormant = np.stack([cs.dormant for cs in series])
-    return EnsembleResult(counts=counts, dormant=dormant)
+    absorbed_at = np.array([cs.absorbed_at for cs in series], dtype=np.int64)
+    return EnsembleResult(counts=counts, absorbed_at=absorbed_at)

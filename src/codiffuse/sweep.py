@@ -124,11 +124,18 @@ def _ensure_dirs(out_dir: str, subdirs: tuple[str, ...]) -> None:
         os.makedirs(os.path.join(out_dir, sub), exist_ok=True)
 
 
+def _absorption(absorbed_at: np.ndarray) -> dict:
+    """Manifest summary of a set's per-iteration absorption steps."""
+    return {"min": int(absorbed_at.min()), "p50": float(np.median(absorbed_at)),
+            "max": int(absorbed_at.max())}
+
+
 def _sweep_task(spec: SweepSpec, index: int, alpha: float, tau_a: float,
-                tau_b: float) -> tuple[np.ndarray, np.ndarray]:
+                tau_b: float) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Mean series, per-iteration ceilings and the absorption summary of one set."""
     cfg = run_config_for(spec, index, alpha, tau_a, tau_b)
     ens = run_ensemble(cfg, spec.iterations)
-    return ens.mean, iteration_ceilings(ens.counts)
+    return ens.mean, iteration_ceilings(ens.counts), _absorption(ens.absorbed_at)
 
 
 def _manifest_skeleton(spec: SweepSpec, command: str, workers: int,
@@ -171,16 +178,25 @@ def sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
     _ensure_dirs(out_dir, (SERIES_DIR, CEILINGS_DIR, MODALITY_DIR))
     manifest = _manifest_skeleton(spec, "sweep", workers, sets)
 
-    results: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    results: dict[int, tuple[np.ndarray, np.ndarray, dict]] = {}
     t0 = time.monotonic()
+
+    def done(i: int) -> None:
+        absorbed = ""
+        if i in results:
+            summary = results[i][2]
+            manifest["parameter_sets"][i]["absorbed_at"] = summary
+            absorbed = f" absorbed p50={summary['p50']:g}/{spec.steps}"
+        _progress(f"[{len(results) + len(manifest['failures'])}/{len(sets)}] "
+                  f"set {i} done ({time.monotonic() - t0:.1f}s){absorbed}")
+
     if workers <= 1:
         for i, alpha, ta, tb in sets:
             try:
                 results[i] = _sweep_task(spec, i, alpha, ta, tb)
             except Exception as exc:  # isolate the parameter set
                 manifest["failures"].append({"index": i, "error": f"{type(exc).__name__}: {exc}"})
-            _progress(f"[{len(results) + len(manifest['failures'])}/{len(sets)}] "
-                      f"set {i} done ({time.monotonic() - t0:.1f}s)")
+            done(i)
     else:
         with cf.ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {pool.submit(_sweep_task, spec, i, a, ta, tb): i
@@ -192,8 +208,7 @@ def sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
                     manifest["failures"].append({"index": i, "error": f"{type(exc).__name__}: {exc}"})
                 else:
                     results[i] = fut.result()
-                _progress(f"[{len(results) + len(manifest['failures'])}/{len(sets)}] "
-                          f"set {i} done ({time.monotonic() - t0:.1f}s)")
+                done(i)
 
     files: list[str] = []
     heatmap_rows: list[tuple] = []
@@ -201,7 +216,7 @@ def sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
         for i, alpha, ta, tb in sets:
             if i not in results:
                 continue
-            mean_counts, ceilings = results[i]
+            mean_counts, ceilings, _ = results[i]
             tag = set_tag(i, alpha, ta, tb)
             rel_mean = os.path.join(SERIES_DIR, f"{tag}_mean.csv")
             write_series_csv(os.path.join(out_dir, rel_mean), mean_counts, as_int=False)
@@ -241,6 +256,7 @@ def run_single(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
 
     cfg = run_config_for(spec, i, alpha, ta, tb)
     ens = run_ensemble(cfg, spec.iterations, workers=workers)
+    manifest["parameter_sets"][0]["absorbed_at"] = _absorption(ens.absorbed_at)
     ceilings = iteration_ceilings(ens.counts)
     tag = set_tag(i, alpha, ta, tb)
 

@@ -1,5 +1,6 @@
-"""Shared test fixtures: a hand-built two-layer graph of independent star groups
-and a slow per-node reference implementation of the synchronous step.
+"""Shared test fixtures: a hand-built two-layer graph of independent star groups,
+a slow per-node reference implementation of the synchronous step, and a
+full-horizon realization loop that never stops at absorption.
 
 Each star group has 9 nodes: one target (offset 0), four layer-A sources
 (offsets 1..4) and four layer-B sources (offsets 5..8). The target's layer-A
@@ -14,9 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from codiffuse.engine import step_with_draws, stream
+from codiffuse.engine import (
+    ITERATION_STREAM,
+    iteration_graph,
+    seed_population,
+    step,
+    step_with_draws,
+    stream,
+)
 from codiffuse.kernel import (
     NAIVE,
+    QUENCHED,
     STATE_A,
     STATE_AB,
     STATE_B,
@@ -74,6 +83,15 @@ def empirical_adoption_freq(graph: MultiplexGraph, kernel, dormancy, target_stat
     return fired / trials
 
 
+def node_densities(graph: MultiplexGraph, states, active, i: int) -> Densities:
+    """Node i's active-carrier fractions over its neighbor slots, one per layer."""
+    nbrs_a = graph.layer_a.nbrs[i]
+    nbrs_b = graph.layer_b.nbrs[i]
+    cnt_a = sum(1 for j in nbrs_a if states[j] in (STATE_A, STATE_AB) and active[j])
+    cnt_b = sum(1 for j in nbrs_b if states[j] in (STATE_B, STATE_AB) and active[j])
+    return Densities(cnt_a / len(nbrs_a), cnt_b / len(nbrs_b))
+
+
 def reference_step(graph: MultiplexGraph, states, active, kernel, dormancy,
                    adoption_u, choice_u, dorm_u, order=None):
     """Per-node loop built on the scalar kernel functions; the engine oracle."""
@@ -83,11 +101,7 @@ def reference_step(graph: MultiplexGraph, states, active, kernel, dormancy,
     nodes = list(range(n)) if order is None else list(order)
     for i in nodes:
         st = int(states[i])
-        nbrs_a = graph.layer_a.nbrs[i]
-        nbrs_b = graph.layer_b.nbrs[i]
-        cnt_a = sum(1 for j in nbrs_a if states[j] in (STATE_A, STATE_AB) and active[j])
-        cnt_b = sum(1 for j in nbrs_b if states[j] in (STATE_B, STATE_AB) and active[j])
-        dens = Densities(cnt_a / len(nbrs_a), cnt_b / len(nbrs_b))
+        dens = node_densities(graph, states, active, i)
         p = adoption_probability(st, dens, kernel)
         if fires(p, float(adoption_u[i])):
             if st == NAIVE:
@@ -100,3 +114,18 @@ def reference_step(graph: MultiplexGraph, states, active, kernel, dormancy,
             if float(dorm_u[i]) < dormancy_rate(st, dormancy):
                 new_active[i] = False
     return new_states, new_active
+
+
+def full_horizon_run(config, iteration: int) -> np.ndarray:
+    """`engine.run`'s counts without the absorption stop: the same stream address
+    and draw order, then `step` for every one of `config.steps` steps."""
+    rng = stream(config.master_seed, config.param_index, ITERATION_STREAM, iteration)
+    graph = iteration_graph(config, iteration, rng)
+    states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
+    quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
+    counts = np.empty((config.steps, 4), dtype=np.int64)
+    for t in range(config.steps):
+        states, active = step(graph, states, active, config.kernel, config.dormancy,
+                              rng, quenched)
+        counts[t] = np.bincount(states, minlength=4)
+    return counts

@@ -1,0 +1,198 @@
+"""Stop at absorption and the count-table step: exactness against the
+full-horizon loop, and properties of `can_fire` and the vectorized step against
+the scalar reference step on random small graphs."""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from codiffuse.engine import RunConfig, can_fire, run, run_ensemble, step, step_with_draws, stream
+from codiffuse.kernel import (
+    ANNEALED,
+    EXCLUSIVE,
+    INCLUSIVE,
+    NAIVE,
+    QUENCHED,
+    STATE_B,
+    DormancyParams,
+    KernelParams,
+    adoption_probability,
+)
+from codiffuse.topology import Layer, MultiplexGraph, build_lattice, build_rrg
+
+from _harness import full_horizon_run, node_densities, reference_step
+
+KERNEL_MODES = list(itertools.product((INCLUSIVE, EXCLUSIVE), (ANNEALED, QUENCHED)))
+MODES = [(mode, thresholds, graph_mode, freeze_rrg)
+         for (mode, thresholds), graph_mode, freeze_rrg
+         in itertools.product(KERNEL_MODES, ("multiplex", "single"), (False, True))]
+
+# name -> (alpha, tau_a, tau_b, side, steps, absorbs)
+POINTS = {
+    "seeds_dormant_at_once": (2.0, 1.0, 1.0, 16, 20, True),
+    "mid_horizon": (0.8, 0.03, 0.03, 16, 200, True),
+    "never": (2.0, 0.0, 0.0, 32, 200, False),
+}
+
+
+def point_config(point, mode, thresholds, graph_mode, freeze_rrg):
+    alpha, tau_a, tau_b, side, steps, _ = POINTS[point]
+    return RunConfig(kernel=KernelParams(alpha=alpha, mode=mode, threshold_mode=thresholds),
+                     dormancy=DormancyParams(tau_a, tau_b), side=side, steps=steps,
+                     graph_mode=graph_mode, freeze_rrg=freeze_rrg, master_seed=31)
+
+
+class TestStopIsExact:
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    @pytest.mark.parametrize("mode,thresholds,graph_mode,freeze_rrg", MODES)
+    def test_counts_match_full_horizon(self, point, mode, thresholds, graph_mode, freeze_rrg):
+        cfg = point_config(point, mode, thresholds, graph_mode, freeze_rrg)
+        absorbs = POINTS[point][-1]
+        for it in range(2):
+            cs = run(cfg, it)
+            np.testing.assert_array_equal(cs.counts, full_horizon_run(cfg, it))
+            if absorbs:
+                assert cs.absorbed_at < cfg.steps
+                # Every row from the absorption step on repeats the absorbed row.
+                assert (cs.counts[cs.absorbed_at - 1:] == cs.counts[-1]).all()
+            else:
+                assert cs.absorbed_at == cfg.steps
+            if point == "seeds_dormant_at_once":
+                assert cs.absorbed_at <= 2
+
+    def test_worker_count_does_not_change_absorption(self):
+        cfg = point_config("mid_horizon", INCLUSIVE, ANNEALED, "multiplex", False)
+        serial = run_ensemble(cfg, 4, workers=1)
+        parallel = run_ensemble(cfg, 4, workers=2)
+        np.testing.assert_array_equal(serial.counts, parallel.counts)
+        np.testing.assert_array_equal(serial.absorbed_at, parallel.absorbed_at)
+        assert serial.absorbed_at.dtype == np.int64
+        assert (serial.absorbed_at < cfg.steps).all()
+
+
+# Alpha stays within [0, 4] and K within [0.5, 3], so no positive density term
+# underflows in the scalar oracle and "p > 0" is exactly "an unmasked active
+# carrier in the slots".
+@st.composite
+def populations(draw, mode, thresholds, width=None):
+    """A random graph, states, activity, kernel and dormancy.
+
+    The graph is a small lattice plus an RRG, a single shared lattice, or (and
+    always when `width` is given) two layers of arbitrary neighbor slots,
+    `width` of them per node, possibly shared as in single mode.
+    """
+    kind = "slots" if width is not None else draw(
+        st.sampled_from(("lattice+rrg", "single", "slots")))
+    if kind == "slots":
+        n = draw(st.integers(2, 16))
+
+        def layer():
+            t = draw(width if width is not None else st.integers(1, 4))
+            return Layer(kind="random", nbrs=draw(hnp.arrays(np.int32, (n, t),
+                                                             elements=st.integers(0, n - 1))))
+
+        layer_a = layer()
+        graph = MultiplexGraph(layer_a, layer_a if draw(st.booleans()) else layer())
+    else:
+        lattice = build_lattice(draw(st.integers(3, 4)))
+        n = lattice.n
+        if kind == "single":
+            graph = MultiplexGraph(lattice, lattice)
+        else:
+            rrg = build_rrg(n, draw(st.sampled_from((2, 4))), stream(draw(st.integers(0, 999))))
+            graph = MultiplexGraph(lattice, rrg)
+    event(kind)
+    states = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 3)))
+    active = draw(hnp.arrays(np.bool_, n))
+    active[states == NAIVE] = True  # naive nodes are never dormant
+    kernel = KernelParams(alpha=draw(st.floats(0.0, 4.0)),
+                          k_a=draw(st.floats(0.5, 3.0)), k_b=draw(st.floats(0.5, 3.0)),
+                          mode=mode, threshold_mode=thresholds)
+    dormancy = DormancyParams(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
+    return graph, states, active, kernel, dormancy
+
+
+def uniforms(n):
+    return hnp.arrays(np.float64, (3, n), elements=st.floats(0.0, 1.0, exclude_max=True))
+
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, database=None)
+
+
+def assert_step_matches_reference(pop, u, v, w, seed):
+    graph, states, active, kernel, dormancy = pop
+    got = step_with_draws(graph, states, active, kernel, dormancy, u, v, w)
+    exp = reference_step(graph, states, active, kernel, dormancy, u, v, w)
+    np.testing.assert_array_equal(got[0], exp[0])
+    np.testing.assert_array_equal(got[1], exp[1])
+
+    # The stream-driven step in this threshold mode: quenched mode reuses the
+    # fixed per-node draws and takes only choice and dormancy uniforms per step.
+    quenched = u if kernel.threshold_mode == QUENCHED else None
+    got = step(graph, states, active, kernel, dormancy, stream(seed), quenched)
+    if quenched is None:
+        u, v, w = stream(seed).random((3, graph.n))
+    else:
+        v, w = stream(seed).random((2, graph.n))
+    exp = reference_step(graph, states, active, kernel, dormancy, u, v, w)
+    np.testing.assert_array_equal(got[0], exp[0])
+    np.testing.assert_array_equal(got[1], exp[1])
+
+
+@pytest.mark.parametrize("mode,thresholds", KERNEL_MODES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_can_fire_is_exactly_some_positive_probability(mode, thresholds, data):
+    graph, states, active, kernel, dormancy = data.draw(populations(mode, thresholds))
+    probs = [adoption_probability(int(states[i]), node_densities(graph, states, active, i),
+                                  kernel) for i in range(graph.n)]
+    fire = can_fire(graph, states, active, kernel)
+    event(f"can_fire={fire}")
+    assert fire == any(p > 0.0 for p in probs)
+    if not fire:
+        # Absorbed: no draws can change a state, not even the largest uniform.
+        largest = np.full((3, graph.n), np.nextafter(1.0, 0.0))
+        for u, v, w in (data.draw(uniforms(graph.n)), largest):
+            new_states, _ = reference_step(graph, states, active, kernel, dormancy, u, v, w)
+            np.testing.assert_array_equal(new_states, states)
+
+
+@pytest.mark.parametrize("mode,thresholds", KERNEL_MODES)
+@PROPERTY_SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_step_matches_reference_step(mode, thresholds, data, seed):
+    pop = data.draw(populations(mode, thresholds))
+    assert_step_matches_reference(pop, *data.draw(uniforms(pop[0].n)), seed)
+
+
+@pytest.mark.parametrize("mode,thresholds", KERNEL_MODES)
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_step_matches_reference_step_on_wide_layers(mode, thresholds, data, seed):
+    # Layers wider than 127 slots: a count type that wraps at int8 (or uint8,
+    # past 255) gives nodes the wrong neighbor counts.
+    pop = data.draw(populations(mode, thresholds, st.integers(128, 300)))
+    assert_step_matches_reference(pop, *data.draw(uniforms(pop[0].n)), seed)
+
+
+@pytest.mark.parametrize("t", [127, 128, 255, 256, 300, 65536])
+def test_every_slot_a_carrier_counts_to_t(t):
+    # Node 0 is naive; all of its t layer-B slots hold node 1, an active B
+    # carrier. Its B density is exactly 1, whatever the count type.
+    layer_a = Layer(kind="slots", nbrs=np.zeros((2, 1), dtype=np.int32))
+    layer_b = Layer(kind="slots", nbrs=np.ones((2, t), dtype=np.int32))
+    graph = MultiplexGraph(layer_a, layer_b)
+    states = np.array([NAIVE, STATE_B], dtype=np.int8)
+    active = np.ones(2, dtype=bool)
+    kernel = KernelParams(alpha=1.0, k_b=1.0)  # p = 1/2 at density 1, 0 at density 0
+    dormancy = DormancyParams(0.0, 0.0)
+    u = np.array([0.5, 0.0])  # fires exactly when the count is t
+    new_states, _ = step_with_draws(graph, states, active, kernel, dormancy,
+                                    u, np.zeros(2), np.zeros(2))
+    assert new_states[0] == STATE_B
+    exp, _ = reference_step(graph, states, active, kernel, dormancy, u, np.zeros(2), np.zeros(2))
+    np.testing.assert_array_equal(new_states, exp)

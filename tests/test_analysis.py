@@ -121,7 +121,7 @@ def fake_ensemble(per_iteration_ab):
     for i, ab in enumerate(per_iteration_ab):
         counts[i, :, 3] = ab
         counts[i, :, 0] = n - ab
-    return EnsembleResult(counts=counts, dormant=np.zeros((iters, 20), dtype=np.int64))
+    return EnsembleResult(counts=counts, absorbed_at=np.ones(iters, dtype=np.int64))
 
 
 class TestSummaries:
@@ -156,9 +156,9 @@ class TestSummaries:
     def test_iteration_order_invariance(self):
         rng = stream(56, 0)
         counts = rng.integers(0, 50, (8, 25, 4)).astype(np.int64)
-        ens = EnsembleResult(counts=counts, dormant=np.zeros((8, 25), dtype=np.int64))
+        ens = EnsembleResult(counts=counts, absorbed_at=np.full(8, 25, dtype=np.int64))
         shuffled = EnsembleResult(counts=counts[rng.permutation(8)],
-                                  dormant=ens.dormant)
+                                  absorbed_at=ens.absorbed_at)
         a = summarize({(0.3, 0.0, 0.0): ens})
         b = summarize({(0.3, 0.0, 0.0): shuffled})
         for (r1, r2) in zip(a, b):

@@ -70,6 +70,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="freeze_rrg"):
             spec_from_dict({"graph": {"freeze_rrg": "yes"}})
 
+    def test_horizon_too_short_for_a_ceiling(self):
+        with pytest.raises(ConfigurationError, match="steps must be >= 5, got 4"):
+            spec_from_dict({"steps": 4})
+        assert spec_from_dict({"steps": 5}).steps == 5
+
     def test_parity_of_stub_count(self):
         with pytest.raises(ConfigurationError, match="even"):
             spec_from_dict({"graph": {"side": 3, "degree": 3}})

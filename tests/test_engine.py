@@ -189,7 +189,7 @@ class TestRun:
         a = run(cfg, 0)
         b = run(cfg, 0)
         np.testing.assert_array_equal(a.counts, b.counts)
-        np.testing.assert_array_equal(a.dormant, b.dormant)
+        assert a.absorbed_at == b.absorbed_at
 
     def test_conservation_and_monotone_ab(self):
         cfg = small_config(steps=60)
@@ -239,7 +239,7 @@ class TestEnsemble:
         serial = run_ensemble(cfg, 4, workers=1)
         parallel = run_ensemble(cfg, 4, workers=2)
         np.testing.assert_array_equal(serial.counts, parallel.counts)
-        np.testing.assert_array_equal(serial.dormant, parallel.dormant)
+        np.testing.assert_array_equal(serial.absorbed_at, parallel.absorbed_at)
 
     def test_mean_of_identical_runs_is_the_run(self):
         # Frozen graph + quenched thresholds still differ by seeds; instead use

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -134,6 +135,30 @@ class TestSweepOutputs:
             assert len(fh.read().strip().split("\n")) - 1 == 3 * 12
 
 
+class TestAbsorptionSummary:
+    def test_sweep_records_absorption_per_set(self, tmp_path, capsys):
+        spec = spec_from_dict(TINY)
+        serial = sweep(spec, str(tmp_path / "w1"), workers=1)
+        progress = capsys.readouterr().err
+        parallel = sweep(spec, str(tmp_path / "w2"), workers=2)
+        summaries = [entry["absorbed_at"] for entry in serial["parameter_sets"]]
+        assert summaries == [entry["absorbed_at"] for entry in parallel["parameter_sets"]]
+        for s in summaries:
+            assert 1 <= s["min"] <= s["p50"] <= s["max"] <= spec.steps
+        assert progress.count(f"/{spec.steps}\n") == len(summaries)
+        assert f" absorbed p50={summaries[-1]['p50']:g}/{spec.steps}" in progress
+
+    def test_run_records_absorption(self, tmp_path):
+        spec = spec_from_dict({"alpha": [0.8], "tau_a": [0.05], "tau_b": [0.05],
+                               "iterations": 5, "steps": 200, "graph": {"side": 8},
+                               "seed": 3})
+        serial = run_single(spec, str(tmp_path / "w1"), workers=1)
+        parallel = run_single(spec, str(tmp_path / "w2"), workers=2)
+        summary = serial["parameter_sets"][0]["absorbed_at"]
+        assert summary == parallel["parameter_sets"][0]["absorbed_at"]
+        assert summary["max"] < spec.steps  # every iteration stopped early
+
+
 class TestRunSingle:
     def test_per_iteration_series_emitted(self, tmp_path):
         spec = spec_from_dict({"alpha": [0.8], "tau_a": [0.04], "tau_b": [0.0],
@@ -225,6 +250,44 @@ class TestCli:
         assert b[0] == "# layer=B kind=rrg(degree=4) n=36"
         assert len(a) - 1 == 72  # 2n edges at degree 4
         assert len(b) - 1 == 72
+
+    def test_graph_dump_writes_the_graph_iteration_zero_steps_on(self, tmp_path, monkeypatch):
+        import codiffuse.engine as engine
+        from codiffuse.config import run_config_for
+        from codiffuse.topology import write_edgelist
+
+        raw = {"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0], "steps": 5,
+               "graph": {"side": 6}, "seed": 12}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "g"
+        proc = cli("graph-dump", "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+
+        stepped_on = []
+        real_step = engine.step
+
+        def recording_step(graph, *args, **kwargs):
+            stepped_on.append(graph)
+            return real_step(graph, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "step", recording_step)
+        spec = spec_from_dict(raw)
+        engine.run(run_config_for(spec, 0, 0.5, 0.0, 0.0), 0)
+        for label, layer in (("A", stepped_on[0].layer_a), ("B", stepped_on[0].layer_b)):
+            buf = io.StringIO()
+            write_edgelist(layer, label, buf)
+            assert (out / f"layer_{label}.edgelist").read_text() == buf.getvalue()
+
+    def test_short_horizon_exits_two_before_any_output(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
+                                   "iterations": 2, "steps": 4, "graph": {"side": 6}}))
+        out = tmp_path / "results"
+        proc = cli("run", "--config", str(cfg), "--out", str(out), "--workers", "1")
+        assert proc.returncode == 2
+        assert "steps must be >= 5" in proc.stderr
+        assert not out.exists()
 
     def test_analyze_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"

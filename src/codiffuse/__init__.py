@@ -10,7 +10,6 @@ from .analysis import (  # noqa: F401
     inflection,
     kde,
     mode_shares,
-    summarize,
 )
 from .config import SweepSpec, enumerate_parameter_sets, load_spec, run_config_for  # noqa: F401
 from .engine import (  # noqa: F401

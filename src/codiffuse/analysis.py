@@ -155,15 +155,3 @@ def ensemble_stats(mean_counts: np.ndarray, ceilings: np.ndarray) -> list[tuple]
         rows.append((cat, "inflection_mean", None if infl is None else float(infl)))
     return rows
 
-
-def summarize(ensembles: dict) -> list[tuple]:
-    """Long-format heatmap rows (alpha, tau_a, tau_b, category, metric, value)
-    for a map from (alpha, tau_a, tau_b) to EnsembleResult."""
-    if not ensembles:
-        raise AnalysisError("summarize needs at least one ensemble")
-    rows = []
-    for (alpha, tau_a, tau_b), ens in ensembles.items():
-        ceilings = iteration_ceilings(ens.counts)
-        for cat, metric, value in ensemble_stats(ens.mean, ceilings):
-            rows.append((alpha, tau_a, tau_b, cat, metric, value))
-    return rows

@@ -66,15 +66,9 @@ def _workers(args: argparse.Namespace) -> int:
     return value
 
 
-def _cmd_run(args: argparse.Namespace) -> int:
-    spec = _load(args)
-    run_single(spec, args.out, workers=_workers(args))
-    return 0
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _load(args)
-    manifest = sweep(spec, args.out, workers=_workers(args))
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    entry = run_single if args.command == "run" else sweep
+    manifest = entry(_load(args), args.out, workers=_workers(args))
     if manifest["failures"]:
         print(f"{len(manifest['failures'])} parameter set(s) failed; see manifest.json",
               file=sys.stderr)
@@ -126,8 +120,8 @@ def _cmd_graph_dump(args: argparse.Namespace) -> int:
 
 
 _COMMANDS = {
-    "run": _cmd_run,
-    "sweep": _cmd_sweep,
+    "run": _cmd_simulate,
+    "sweep": _cmd_simulate,
     "analyze": _cmd_analyze,
     "meanfield": _cmd_meanfield,
     "graph-dump": _cmd_graph_dump,

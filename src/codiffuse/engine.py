@@ -29,7 +29,6 @@ else, so the series is the same as stepping the full horizon.
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import functools
 from dataclasses import dataclass
 
@@ -347,29 +346,18 @@ def run(config: RunConfig, iteration: int = 0,
     return CountsSeries(counts=counts, absorbed_at=done)
 
 
-def _run_iterations(config: RunConfig, iterations: list[int]) -> list[CountsSeries]:
-    graph = frozen_graph(config) if config.freeze_rrg else None
-    return [run(config, i, graph=graph) for i in iterations]
+def run_ensemble(config: RunConfig, iterations: int | range) -> EnsembleResult:
+    """Independent realizations of one parameter set, in index order: 0..iterations-1
+    for a count, the given iteration indices for a range.
 
-
-def run_ensemble(config: RunConfig, iterations: int, workers: int = 1) -> EnsembleResult:
-    """Independent realizations 0..iterations-1 of one parameter set.
-
-    Results are keyed by iteration index and bit-identical for any `workers`.
+    Every iteration has its own stream, so any split of the indices yields the
+    same per-iteration rows. A frozen graph is built once for the whole call.
     """
-    if iterations < 1:
+    indices = iterations if isinstance(iterations, range) else range(iterations)
+    if len(indices) < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    indices = list(range(iterations))
-    if workers <= 1 or iterations == 1:
-        series = _run_iterations(config, indices)
-    else:
-        chunks = [indices[k::workers] for k in range(workers) if indices[k::workers]]
-        series = [None] * iterations
-        with cf.ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = {pool.submit(_run_iterations, config, chunk): chunk for chunk in chunks}
-            for fut in cf.as_completed(futures):
-                for i, cs in zip(futures[fut], fut.result()):
-                    series[i] = cs
+    graph = frozen_graph(config) if config.freeze_rrg else None
+    series = [run(config, i, graph=graph) for i in indices]
     counts = np.stack([cs.counts for cs in series])
     absorbed_at = np.array([cs.absorbed_at for cs in series], dtype=np.int64)
     return EnsembleResult(counts=counts, absorbed_at=absorbed_at)

@@ -1,14 +1,16 @@
 """Sweep orchestration and file emission.
 
-A sweep runs the (alpha, tau_a, tau_b) cube, one ensemble per parameter set,
-scheduled over a process pool. Per set it writes the ensemble-mean time series
-(series/), the per-iteration ceilings (ceilings/), and KDE modality reports for
-the two contagions (modality/); plus one heatmap.csv and a manifest.json with a
-content hash for every emitted file. All emitted bytes are a pure function of
-the resolved config, so reruns are byte-identical at any worker count.
-
-The `run` entry point is the single-parameter-set variant that additionally
-stores every iteration's series.
+`sweep` runs the (alpha, tau_a, tau_b) cube, one ensemble per parameter set;
+`run` is the single-set variant that also stores every iteration's series. Both
+use one scheduler over (set, iteration range) units: in this process for one
+worker, over one process pool for more, splitting a set's iterations only when
+workers outnumber sets. This process writes each set as soon as its last unit
+arrives: the ensemble-mean time series (series/), the per-iteration ceilings
+(ceilings/) and KDE modality reports for the two contagions (modality/); at the
+end, heatmap.csv and a manifest.json with a content hash for every emitted
+file. Every iteration has its own random stream, so all emitted bytes are a
+pure function of the resolved config, identical at any worker count. `analyze`
+refuses inputs whose bytes do not match the manifest.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 from . import __version__
 from .analysis import CATEGORIES, ensemble_stats, iteration_ceilings, kde
 from .config import SweepSpec, enumerate_parameter_sets, run_config_for, spec_to_dict
-from .engine import run_ensemble
-from .errors import ConfigurationError
+from .engine import EnsembleResult, run_ensemble
+from .errors import AnalysisError, ConfigurationError
 
 SERIES_DIR = "series"
 CEILINGS_DIR = "ceilings"
@@ -60,6 +62,7 @@ def write_series_csv(path: str, counts: np.ndarray, as_int: bool) -> None:
 
 
 def read_series_csv(path: str) -> np.ndarray:
+    """Value columns of a series or ceilings CSV (header and index column dropped)."""
     with open(path, "r", encoding="utf-8") as fh:
         next(fh)
         rows = [[float(x) for x in line.strip().split(",")[1:]] for line in fh if line.strip()]
@@ -74,11 +77,7 @@ def write_ceilings_csv(path: str, ceilings: np.ndarray) -> None:
             fh.write(f"{i}," + ",".join(repr(float(x)) for x in row) + "\n")
 
 
-def read_ceilings_csv(path: str) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        rows = [[float(x) for x in line.strip().split(",")[1:]] for line in fh if line.strip()]
-    return np.array(rows)
+read_ceilings_csv = read_series_csv
 
 
 def write_heatmap_csv(path: str, rows: list[tuple]) -> None:
@@ -131,11 +130,30 @@ def _absorption(absorbed_at: np.ndarray) -> dict:
 
 
 def _sweep_task(spec: SweepSpec, index: int, alpha: float, tau_a: float,
-                tau_b: float) -> tuple[np.ndarray, np.ndarray, dict]:
-    """Mean series, per-iteration ceilings and the absorption summary of one set."""
-    cfg = run_config_for(spec, index, alpha, tau_a, tau_b)
-    ens = run_ensemble(cfg, spec.iterations)
-    return ens.mean, iteration_ceilings(ens.counts), _absorption(ens.absorbed_at)
+                tau_b: float, iterations: range) -> EnsembleResult:
+    """Counts and absorption steps of one set's iterations `iterations`."""
+    return run_ensemble(run_config_for(spec, index, alpha, tau_a, tau_b), iterations)
+
+
+def _emit_set(out_dir: str, tag: str, ens: EnsembleResult, per_iteration: bool,
+              files: list[str]) -> list[tuple]:
+    """Write one set's files, appending each relative path to `files` once it is
+    on disk; returns the set's (category, metric, value) statistics."""
+    if per_iteration:
+        for it, counts in enumerate(ens.counts):
+            rel = os.path.join(SERIES_DIR, f"{tag}_iter{it:03d}.csv")
+            write_series_csv(os.path.join(out_dir, rel), counts, as_int=True)
+            files.append(rel)
+    mean_counts = ens.mean
+    ceilings = iteration_ceilings(ens.counts)
+    rel = os.path.join(SERIES_DIR, f"{tag}_mean.csv")
+    write_series_csv(os.path.join(out_dir, rel), mean_counts, as_int=False)
+    files.append(rel)
+    rel = os.path.join(CEILINGS_DIR, f"{tag}.csv")
+    write_ceilings_csv(os.path.join(out_dir, rel), ceilings)
+    files.append(rel)
+    files += _write_modality(out_dir, tag, ceilings)
+    return ensemble_stats(mean_counts, ceilings)
 
 
 def _manifest_skeleton(spec: SweepSpec, command: str, workers: int,
@@ -166,80 +184,103 @@ def _finalize_manifest(out_dir: str, manifest: dict, files: list[str]) -> None:
         fh.write("\n")
 
 
-def sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
-    """Run the whole parameter cube; returns the manifest dict.
+def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
+    """Compute every (set, iteration range) unit and hand `collect` each result,
+    or the exception that failed it, in this process as it arrives.
 
-    A failed parameter set is recorded under manifest["failures"] and does not
-    stop the others. Files are written by this process only, in index order.
+    One worker computes in this process, where a tracer or profiler sees it;
+    more share one pool. When `collect` raises, units not yet started are
+    cancelled.
     """
-    sets = enumerate_parameter_sets(spec)
-    if not sets:
-        raise ConfigurationError("parameter cube is empty (constraint filtered everything)")
-    _ensure_dirs(out_dir, (SERIES_DIR, CEILINGS_DIR, MODALITY_DIR))
-    manifest = _manifest_skeleton(spec, "sweep", workers, sets)
+    if workers <= 1:
+        for unit in units:
+            try:
+                result = _sweep_task(spec, *unit[0], unit[1])
+            except Exception as exc:  # isolate the parameter set
+                result = exc
+            collect(unit, result)
+        return
+    pool = cf.ProcessPoolExecutor(max_workers=min(workers, len(units)))
+    try:
+        futures = {pool.submit(_sweep_task, spec, *s, its): (s, its) for s, its in units}
+        for fut in cf.as_completed(futures):
+            exc = fut.exception()
+            collect(futures[fut], fut.result() if exc is None else exc)
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    results: dict[int, tuple[np.ndarray, np.ndarray, dict]] = {}
+
+def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
+              sets: list[tuple[int, float, float, float]], per_iteration: bool) -> dict:
+    """Run `sets` and write each one as soon as its last unit is back; returns
+    the manifest.
+
+    A set's iterations are split into strided ranges only when workers
+    outnumber sets. A set holds its counts only until it is written. A failed
+    unit fails its set, which is recorded once under manifest["failures"] and
+    does not stop the others. Files are written by this process only.
+    """
+    _ensure_dirs(out_dir, (SERIES_DIR, CEILINGS_DIR, MODALITY_DIR))
+    manifest = _manifest_skeleton(spec, command, workers, sets)
+    parts = max(1, min(spec.iterations, workers // len(sets)))
+    units = [(s, range(k, spec.iterations, parts)) for s in sets for k in range(parts)]
+    arrived: dict[int, list] = {}
+    stats: dict[int, list[tuple]] = {}
+    files: list[str] = []
     t0 = time.monotonic()
 
-    def done(i: int) -> None:
+    def collect(unit, result) -> None:
+        (i, alpha, ta, tb), its = unit
+        got = arrived.setdefault(i, [])
+        got.append((its, result))
+        if len(got) < parts:
+            return
+        del arrived[i]
+        errors = [r for _, r in got if isinstance(r, BaseException)]
         absorbed = ""
-        if i in results:
-            summary = results[i][2]
+        if errors:
+            manifest["failures"].append(
+                {"index": i, "error": f"{type(errors[0]).__name__}: {errors[0]}"})
+        else:
+            counts = np.empty((spec.iterations, spec.steps, 4), dtype=np.int64)
+            absorbed_at = np.empty(spec.iterations, dtype=np.int64)
+            for part_its, part in got:
+                counts[part_its] = part.counts
+                absorbed_at[part_its] = part.absorbed_at
+            summary = _absorption(absorbed_at)
             manifest["parameter_sets"][i]["absorbed_at"] = summary
             absorbed = f" absorbed p50={summary['p50']:g}/{spec.steps}"
-        _progress(f"[{len(results) + len(manifest['failures'])}/{len(sets)}] "
+            stats[i] = _emit_set(out_dir, set_tag(i, alpha, ta, tb),
+                                 EnsembleResult(counts=counts, absorbed_at=absorbed_at),
+                                 per_iteration, files)
+        _progress(f"[{len(stats) + len(manifest['failures'])}/{len(sets)}] "
                   f"set {i} done ({time.monotonic() - t0:.1f}s){absorbed}")
 
-    if workers <= 1:
-        for i, alpha, ta, tb in sets:
-            try:
-                results[i] = _sweep_task(spec, i, alpha, ta, tb)
-            except Exception as exc:  # isolate the parameter set
-                manifest["failures"].append({"index": i, "error": f"{type(exc).__name__}: {exc}"})
-            done(i)
-    else:
-        with cf.ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_sweep_task, spec, i, a, ta, tb): i
-                       for i, a, ta, tb in sets}
-            for fut in cf.as_completed(futures):
-                i = futures[fut]
-                exc = fut.exception()
-                if exc is not None:
-                    manifest["failures"].append({"index": i, "error": f"{type(exc).__name__}: {exc}"})
-                else:
-                    results[i] = fut.result()
-                done(i)
-
-    files: list[str] = []
-    heatmap_rows: list[tuple] = []
     try:
-        for i, alpha, ta, tb in sets:
-            if i not in results:
-                continue
-            mean_counts, ceilings, _ = results[i]
-            tag = set_tag(i, alpha, ta, tb)
-            rel_mean = os.path.join(SERIES_DIR, f"{tag}_mean.csv")
-            write_series_csv(os.path.join(out_dir, rel_mean), mean_counts, as_int=False)
-            rel_ceil = os.path.join(CEILINGS_DIR, f"{tag}.csv")
-            write_ceilings_csv(os.path.join(out_dir, rel_ceil), ceilings)
-            files += [rel_mean, rel_ceil]
-            files += _write_modality(out_dir, tag, ceilings)
-            for cat, metric, value in ensemble_stats(mean_counts, ceilings):
-                heatmap_rows.append((alpha, ta, tb, cat, metric, value))
-        write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), heatmap_rows)
+        _run_units(spec, units, workers, collect)
+        rows = [(alpha, ta, tb, *stat) for i, alpha, ta, tb in sets for stat in stats.get(i, ())]
+        write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), rows)
         files.append("heatmap.csv")
     except OSError as exc:
         # Abort, but leave a manifest covering whatever reached disk.
         manifest["failures"].append({"index": None, "error": f"io: {exc}"})
-        _finalize_manifest(out_dir, manifest, [f for f in files
-                           if os.path.exists(os.path.join(out_dir, f))])
+        _finalize_manifest(out_dir, manifest, files)
         raise
     _finalize_manifest(out_dir, manifest, files)
     return manifest
 
 
+def sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
+    """Run the whole parameter cube; returns the manifest dict."""
+    sets = enumerate_parameter_sets(spec)
+    if not sets:
+        raise ConfigurationError("parameter cube is empty (constraint filtered everything)")
+    return _simulate(spec, out_dir, workers, "sweep", sets, per_iteration=False)
+
+
 def run_single(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
-    """One parameter set with full per-iteration series on disk.
+    """One parameter set with full per-iteration series on disk; returns the
+    manifest dict.
 
     The config's alpha/tau lists must each hold exactly one value.
     """
@@ -250,55 +291,38 @@ def run_single(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
     sets = enumerate_parameter_sets(spec)
     if not sets:
         raise ConfigurationError("parameter set filtered out by the tau_b < tau_a constraint")
-    i, alpha, ta, tb = sets[0]
-    _ensure_dirs(out_dir, (SERIES_DIR, CEILINGS_DIR, MODALITY_DIR))
-    manifest = _manifest_skeleton(spec, "run", workers, sets)
-
-    cfg = run_config_for(spec, i, alpha, ta, tb)
-    ens = run_ensemble(cfg, spec.iterations, workers=workers)
-    manifest["parameter_sets"][0]["absorbed_at"] = _absorption(ens.absorbed_at)
-    ceilings = iteration_ceilings(ens.counts)
-    tag = set_tag(i, alpha, ta, tb)
-
-    files: list[str] = []
-    for it in range(ens.iterations):
-        rel = os.path.join(SERIES_DIR, f"{tag}_iter{it:03d}.csv")
-        write_series_csv(os.path.join(out_dir, rel), ens.counts[it], as_int=True)
-        files.append(rel)
-    rel_mean = os.path.join(SERIES_DIR, f"{tag}_mean.csv")
-    write_series_csv(os.path.join(out_dir, rel_mean), ens.mean, as_int=False)
-    rel_ceil = os.path.join(CEILINGS_DIR, f"{tag}.csv")
-    write_ceilings_csv(os.path.join(out_dir, rel_ceil), ceilings)
-    files += [rel_mean, rel_ceil]
-    files += _write_modality(out_dir, tag, ceilings)
-
-    rows = [(alpha, ta, tb, cat, metric, value)
-            for cat, metric, value in ensemble_stats(ens.mean, ceilings)]
-    write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), rows)
-    files.append("heatmap.csv")
-    _finalize_manifest(out_dir, manifest, files)
-    return manifest
+    return _simulate(spec, out_dir, workers, "run", sets, per_iteration=True)
 
 
 def analyze(out_dir: str) -> None:
     """Recompute heatmap and modality reports from the stored series of a sweep.
 
     Reads the manifest for the parameter list, then the per-set mean series and
-    per-iteration ceilings; rewrites heatmap.csv and modality/ in place.
+    per-iteration ceilings; rewrites heatmap.csv and modality/ in place. Before
+    it reads or writes anything, every input must match its manifest hash.
     """
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise ConfigurationError(f"no manifest.json under {out_dir}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
-    heatmap_rows: list[tuple] = []
+    inputs = []
     for entry in manifest["parameter_sets"]:
         i, alpha, ta, tb = entry["index"], entry["alpha"], entry["tau_a"], entry["tau_b"]
         tag = set_tag(i, alpha, ta, tb)
-        mean_path = os.path.join(out_dir, SERIES_DIR, f"{tag}_mean.csv")
-        ceil_path = os.path.join(out_dir, CEILINGS_DIR, f"{tag}.csv")
-        if not (os.path.exists(mean_path) and os.path.exists(ceil_path)):
+        rels = (os.path.join(SERIES_DIR, f"{tag}_mean.csv"), os.path.join(CEILINGS_DIR, f"{tag}.csv"))
+        paths = [os.path.join(out_dir, rel) for rel in rels]
+        if not all(os.path.exists(path) for path in paths):
             continue  # failed or pruned set
+        for rel, path in zip(rels, paths):
+            digest = manifest["files"].get(rel)
+            if digest is None:
+                raise AnalysisError(f"{rel} is not listed in manifest.json")
+            if digest != _sha256(path):
+                raise AnalysisError(f"{rel} does not match its manifest.json hash")
+        inputs.append((alpha, ta, tb, tag, *paths))
+    heatmap_rows: list[tuple] = []
+    for alpha, ta, tb, tag, mean_path, ceil_path in inputs:
         mean_counts = read_series_csv(mean_path)
         ceilings = read_ceilings_csv(ceil_path)
         _write_modality(out_dir, tag, ceilings)

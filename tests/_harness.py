@@ -1,6 +1,7 @@
 """Shared test fixtures: a hand-built two-layer graph of independent star groups,
-a slow per-node reference implementation of the synchronous step, and a
-full-horizon realization loop that never stops at absorption.
+a slow per-node reference implementation of the synchronous step, a
+full-horizon realization loop that never stops at absorption, and `run`
+outputs at several worker counts.
 
 Each star group has 9 nodes: one target (offset 0), four layer-A sources
 (offsets 1..4) and four layer-B sources (offsets 5..8). The target's layer-A
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from codiffuse.config import spec_from_dict
 from codiffuse.engine import (
     ITERATION_STREAM,
     iteration_graph,
@@ -35,7 +37,16 @@ from codiffuse.kernel import (
     dormancy_rate,
     fires,
 )
+from codiffuse.sweep import run_single
 from codiffuse.topology import Layer, MultiplexGraph
+
+# The default mode, and the one in which every unit of a split set rebuilds the
+# set's frozen graph in its own process.
+WORKER_COUNT_MODES = (
+    {},
+    {"graph": {"freeze_rrg": True},
+     "kernel": {"adoption": "exclusive", "thresholds": "quenched"}},
+)
 
 
 def star_groups(n_groups: int) -> MultiplexGraph:
@@ -129,3 +140,21 @@ def full_horizon_run(config, iteration: int) -> np.ndarray:
                               rng, quenched)
         counts[t] = np.bincount(states, minlength=4)
     return counts
+
+
+def run_outputs_by_workers(tmp_path, raw: dict) -> list[list[tuple[dict, dict]]]:
+    """For each of WORKER_COUNT_MODES merged into `raw`: (every CSV's bytes by
+    relative path, the manifest's `absorbed_at`) of `run_single` at workers 1,
+    2 and 3."""
+    by_mode = []
+    for k, mode in enumerate(WORKER_COUNT_MODES):
+        merged = {**raw, **{key: {**raw.get(key, {}), **value} for key, value in mode.items()}}
+        outputs = []
+        for w in (1, 2, 3):
+            out = tmp_path / f"mode{k}-w{w}"
+            manifest = run_single(spec_from_dict(merged), str(out), workers=w)
+            assert manifest["failures"] == []
+            csvs = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*.csv"))}
+            outputs.append((csvs, manifest["parameter_sets"][0]["absorbed_at"]))
+        by_mode.append(outputs)
+    return by_mode

@@ -10,7 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from codiffuse.engine import RunConfig, can_fire, run, run_ensemble, step, step_with_draws, stream
+from codiffuse.engine import RunConfig, can_fire, run, step, step_with_draws, stream
 from codiffuse.kernel import (
     ANNEALED,
     EXCLUSIVE,
@@ -24,7 +24,12 @@ from codiffuse.kernel import (
 )
 from codiffuse.topology import Layer, MultiplexGraph, build_lattice, build_rrg
 
-from _harness import full_horizon_run, node_densities, reference_step
+from _harness import (
+    full_horizon_run,
+    node_densities,
+    reference_step,
+    run_outputs_by_workers,
+)
 
 KERNEL_MODES = list(itertools.product((INCLUSIVE, EXCLUSIVE), (ANNEALED, QUENCHED)))
 MODES = [(mode, thresholds, graph_mode, freeze_rrg)
@@ -64,14 +69,14 @@ class TestStopIsExact:
             if point == "seeds_dormant_at_once":
                 assert cs.absorbed_at <= 2
 
-    def test_worker_count_does_not_change_absorption(self):
-        cfg = point_config("mid_horizon", INCLUSIVE, ANNEALED, "multiplex", False)
-        serial = run_ensemble(cfg, 4, workers=1)
-        parallel = run_ensemble(cfg, 4, workers=2)
-        np.testing.assert_array_equal(serial.counts, parallel.counts)
-        np.testing.assert_array_equal(serial.absorbed_at, parallel.absorbed_at)
-        assert serial.absorbed_at.dtype == np.int64
-        assert (serial.absorbed_at < cfg.steps).all()
+    def test_worker_count_does_not_change_absorption(self, tmp_path):
+        alpha, tau_a, tau_b, side, steps, _ = POINTS["mid_horizon"]
+        raw = {"alpha": [alpha], "tau_a": [tau_a], "tau_b": [tau_b], "iterations": 4,
+               "steps": steps, "graph": {"side": side}, "seed": 31}
+        for serial, *split in run_outputs_by_workers(tmp_path, raw):
+            assert serial[1]["max"] < steps
+            for outputs in split:
+                assert outputs == serial
 
 
 # Alpha stays within [0, 4] and K within [0.5, 3], so no positive density term

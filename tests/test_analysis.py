@@ -11,7 +11,6 @@ from codiffuse.analysis import (
     kde,
     mode_shares,
     silverman_bandwidth,
-    summarize,
 )
 from codiffuse.engine import EnsembleResult, stream
 from codiffuse.errors import AnalysisError
@@ -124,6 +123,11 @@ def fake_ensemble(per_iteration_ab):
     return EnsembleResult(counts=counts, absorbed_at=np.ones(iters, dtype=np.int64))
 
 
+def set_stats(ens):
+    """The heatmap statistics `sweep` writes for one set."""
+    return ensemble_stats(ens.mean, iteration_ceilings(ens.counts))
+
+
 class TestSummaries:
     def test_two_point_ceiling_stats(self):
         ens = fake_ensemble([0, 100])
@@ -137,19 +141,12 @@ class TestSummaries:
 
     def test_deterministic_runs_have_zero_std(self):
         ens = fake_ensemble([40, 40, 40])
-        rows = summarize({(0.5, 0.0, 0.0): ens})
-        stds = [v for *_k, cat, metric, v in rows if metric == "ceiling_std"]
+        stds = [v for cat, metric, v in set_stats(ens) if metric == "ceiling_std"]
         assert stds == [0.0, 0.0, 0.0, 0.0]
-
-    def test_row_cardinality(self):
-        ens = fake_ensemble([10, 20])
-        rows = summarize({(0.1, 0.0, 0.01): ens, (0.2, 0.0, 0.01): ens})
-        assert len(rows) == 2 * 4 * 3
 
     def test_missing_inflection_is_none(self):
         ens = fake_ensemble([0, 0])
-        rows = {(cat, metric): value
-                for _a, _ta, _tb, cat, metric, value in summarize({(1.0, 0.1, 0.1): ens})}
+        rows = {(cat, metric): value for cat, metric, value in set_stats(ens)}
         assert rows[("ab", "inflection_mean")] is None
         assert rows[("naive", "inflection_mean")] == 0.0
 
@@ -159,8 +156,6 @@ class TestSummaries:
         ens = EnsembleResult(counts=counts, absorbed_at=np.full(8, 25, dtype=np.int64))
         shuffled = EnsembleResult(counts=counts[rng.permutation(8)],
                                   absorbed_at=ens.absorbed_at)
-        a = summarize({(0.3, 0.0, 0.0): ens})
-        b = summarize({(0.3, 0.0, 0.0): shuffled})
-        for (r1, r2) in zip(a, b):
-            assert r1[:5] == r2[:5]
-            assert r1[5] == pytest.approx(r2[5], abs=1e-9)
+        for (r1, r2) in zip(set_stats(ens), set_stats(shuffled)):
+            assert r1[:2] == r2[:2]
+            assert r1[2] == pytest.approx(r2[2], abs=1e-9)

@@ -27,7 +27,13 @@ from codiffuse.kernel import (
 )
 from codiffuse.topology import MultiplexGraph, build_lattice, build_rrg
 
-from _harness import empirical_adoption_freq, group_states, reference_step, star_groups
+from _harness import (
+    empirical_adoption_freq,
+    group_states,
+    reference_step,
+    run_outputs_by_workers,
+    star_groups,
+)
 
 
 def small_config(**kw):
@@ -234,12 +240,22 @@ class TestEnsemble:
         for i in range(3):
             np.testing.assert_array_equal(ens.counts[i], run(cfg, i).counts)
 
-    def test_worker_count_does_not_change_results(self):
-        cfg = small_config(steps=15)
-        serial = run_ensemble(cfg, 4, workers=1)
-        parallel = run_ensemble(cfg, 4, workers=2)
-        np.testing.assert_array_equal(serial.counts, parallel.counts)
-        np.testing.assert_array_equal(serial.absorbed_at, parallel.absorbed_at)
+    def test_iteration_range_runs_those_iterations(self):
+        cfg = small_config(freeze_rrg=True)
+        ens = run_ensemble(cfg, range(1, 6, 2))
+        assert ens.absorbed_at.dtype == np.int64
+        for row, i in enumerate((1, 3, 5)):
+            cs = run(cfg, i)
+            np.testing.assert_array_equal(ens.counts[row], cs.counts)
+            assert ens.absorbed_at[row] == cs.absorbed_at
+
+    def test_worker_count_does_not_change_results(self, tmp_path):
+        raw = {"alpha": [0.8], "tau_a": [0.05], "tau_b": [0.1], "iterations": 4,
+               "steps": 15, "graph": {"side": 8}, "seed": 99}
+        for serial, *split in run_outputs_by_workers(tmp_path, raw):
+            assert len(serial[0]) == 4 + 1 + 1 + 1  # iterations, mean, ceilings, heatmap
+            for outputs in split:
+                assert outputs == serial
 
     def test_mean_of_identical_runs_is_the_run(self):
         # Frozen graph + quenched thresholds still differ by seeds; instead use
@@ -252,3 +268,5 @@ class TestEnsemble:
     def test_rejects_zero_iterations(self):
         with pytest.raises(ConfigurationError):
             run_ensemble(small_config(), 0)
+        with pytest.raises(ConfigurationError):
+            run_ensemble(small_config(), range(3, 3))

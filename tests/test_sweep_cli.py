@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from codiffuse.cli import main
 from codiffuse.config import spec_from_dict
 from codiffuse.sweep import (
     HEATMAP_HEADER,
@@ -119,10 +120,10 @@ class TestSweepOutputs:
 
         real_task = sweep_mod._sweep_task
 
-        def flaky(spec, index, alpha, tau_a, tau_b):
+        def flaky(spec, index, *rest):
             if index == 1:
                 raise RuntimeError("boom")
-            return real_task(spec, index, alpha, tau_a, tau_b)
+            return real_task(spec, index, *rest)
 
         monkeypatch.setattr(sweep_mod, "_sweep_task", flaky)
         out = str(tmp_path / "out")
@@ -299,6 +300,47 @@ class TestCli:
         proc = cli("analyze", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
         assert (out / "heatmap.csv").read_bytes() == heat
+
+    def test_analyze_refuses_inputs_that_do_not_match_the_manifest(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        sweep(spec_from_dict(TINY), str(out), workers=1)
+        before = {**tree_bytes(out, "heatmap.csv"), **tree_bytes(out / "modality", ".json")}
+        ceil = sorted((out / "ceilings").iterdir())[1]
+        data = bytearray(ceil.read_bytes())
+        data[-3] ^= 1
+        ceil.write_bytes(bytes(data))
+        assert main(["analyze", "--out", str(out)]) == 3
+        assert f"{ceil.name} does not match" in capsys.readouterr().err
+        manifest_path = out / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["files"][os.path.join("ceilings", ceil.name)]
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["analyze", "--out", str(out)]) == 3
+        assert f"{ceil.name} is not listed" in capsys.readouterr().err
+        assert {**tree_bytes(out, "heatmap.csv"), **tree_bytes(out / "modality", ".json")} == before
+
+    def test_failed_run_is_recorded_and_exits_three(self, tmp_path, monkeypatch):
+        import codiffuse.engine as engine
+
+        real_run = engine.run
+
+        def flaky(config, iteration=0, graph=None):
+            if iteration == 2:
+                raise RuntimeError("boom")
+            return real_run(config, iteration, graph=graph)
+
+        # The pool's workers are forked after the patch, so they inherit it.
+        monkeypatch.setattr(engine, "run", flaky)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
+                                   "iterations": 4, "steps": 15, "graph": {"side": 6},
+                                   "seed": 5}))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [f["index"] for f in manifest["failures"]] == [0]
+        assert "boom" in manifest["failures"][0]["error"]
+        assert os.listdir(out / "series") == [] and os.listdir(out / "ceilings") == []
 
     def test_analyze_without_manifest_exits_two(self, tmp_path):
         proc = cli("analyze", "--out", str(tmp_path))

@@ -189,8 +189,9 @@ def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
     or the exception that failed it, in this process as it arrives.
 
     One worker computes in this process, where a tracer or profiler sees it;
-    more share one pool. When `collect` raises, units not yet started are
-    cancelled.
+    more share one pool. A finished future leaves `futures` before `collect`
+    sees its result, so no result outlives its `collect` call here. When
+    `collect` raises, units not yet started are cancelled.
     """
     if workers <= 1:
         for unit in units:
@@ -204,8 +205,9 @@ def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
     try:
         futures = {pool.submit(_sweep_task, spec, *s, its): (s, its) for s, its in units}
         for fut in cf.as_completed(futures):
+            unit = futures.pop(fut)
             exc = fut.exception()
-            collect(futures[fut], fut.result() if exc is None else exc)
+            collect(unit, fut.result() if exc is None else exc)
     finally:
         pool.shutdown(cancel_futures=True)
 

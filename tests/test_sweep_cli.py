@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -114,6 +115,25 @@ class TestSweepOutputs:
         analyze(out)
         assert tree_bytes(out, "heatmap.csv") == before_heat
         assert tree_bytes(os.path.join(out, "modality"), ".json") == before_modality
+
+    def test_pool_frees_each_result_once_collected(self):
+        import codiffuse.sweep as sweep_mod
+        from codiffuse.config import enumerate_parameter_sets
+
+        spec = spec_from_dict(TINY)
+        units = [(s, range(spec.iterations)) for s in enumerate_parameter_sets(spec)]
+        collected = []
+        alive_at_collect = []
+
+        def collect(unit, result):
+            assert not isinstance(result, BaseException), result
+            alive_at_collect.append(sum(ref() is not None for ref in collected))
+            collected.append(weakref.ref(result.counts))
+
+        sweep_mod._run_units(spec, units, 2, collect)
+        assert len(collected) == len(units)
+        # a unit's counts are gone before the next unit reaches `collect`
+        assert alive_at_collect == [0] * len(units)
 
     def test_failed_parameter_set_is_isolated(self, tmp_path, monkeypatch):
         import codiffuse.sweep as sweep_mod
@@ -319,9 +339,14 @@ class TestCli:
         assert f"{ceil.name} is not listed" in capsys.readouterr().err
         assert {**tree_bytes(out, "heatmap.csv"), **tree_bytes(out / "modality", ".json")} == before
 
-    def test_failed_run_is_recorded_and_exits_three(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_run_is_recorded_and_exits_three(self, tmp_path, monkeypatch, workers):
+        import multiprocessing
+
         import codiffuse.engine as engine
 
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched engine.run reaches pool workers only when they are forked")
         real_run = engine.run
 
         def flaky(config, iteration=0, graph=None):
@@ -329,14 +354,14 @@ class TestCli:
                 raise RuntimeError("boom")
             return real_run(config, iteration, graph=graph)
 
-        # The pool's workers are forked after the patch, so they inherit it.
         monkeypatch.setattr(engine, "run", flaky)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
                                    "iterations": 4, "steps": 15, "graph": {"side": 6},
                                    "seed": 5}))
         out = tmp_path / "results"
-        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", "2"]) == 3
+        assert main(["run", "--config", str(cfg), "--out", str(out),
+                     "--workers", str(workers)]) == 3
         manifest = json.loads((out / "manifest.json").read_text())
         assert [f["index"] for f in manifest["failures"]] == [0]
         assert "boom" in manifest["failures"][0]["error"]

@@ -14,10 +14,10 @@ import argparse
 import os
 import sys
 
-from .config import SweepSpec, enumerate_parameter_sets, load_spec, run_config_for
+from .config import (SweepSpec, enumerate_parameter_sets, load_spec, run_config_for,
+                     spec_from_dict, spec_to_dict)
 from .engine import ITERATION_STREAM, iteration_graph, stream
 from .errors import AnalysisError, ConfigurationError, GraphGenerationError, IntegrationError
-from .kernel import DormancyParams, KernelParams
 from .meanfield import MeanFieldParams, MeanFieldState, integrate, write_trajectory
 from .sweep import analyze, run_single, sweep
 from .topology import write_edgelist
@@ -45,9 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args: argparse.Namespace) -> SweepSpec:
     spec = load_spec(args.config) if args.config else SweepSpec()
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {args.seed}")
-        spec.seed = args.seed
+        spec = spec_from_dict({**spec_to_dict(spec), "seed": args.seed})
     return spec
 
 
@@ -87,14 +85,10 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
     if len(sets) != 1:
         raise ConfigurationError(
             f"meanfield wants a single parameter set, config enumerates {len(sets)}")
-    _, alpha, tau_a, tau_b = sets[0]
-    params = MeanFieldParams(
-        kernel=KernelParams(alpha=alpha, k_a=spec.k_a, k_b=spec.k_b,
-                            mode=spec.adoption, threshold_mode=spec.thresholds),
-        dormancy=DormancyParams(tau_a=tau_a, tau_b=tau_b),
-        kappa=spec.mf_kappa, h=spec.mf_h, horizon=spec.mf_horizon)
-    n = spec.side * spec.side
-    x0 = spec.seeds_per_contagion / n
+    cfg = run_config_for(spec, *sets[0])
+    params = MeanFieldParams(kernel=cfg.kernel, dormancy=cfg.dormancy,
+                             kappa=spec.mf_kappa, h=spec.mf_h, horizon=spec.mf_horizon)
+    x0 = cfg.seeds_per_contagion / cfg.n
     initial = MeanFieldState(x_a=x0, x_b=x0, x_ab=0.0, x_naive=1.0 - 2 * x0, x_r=0.0)
     traj = integrate(initial, params)
     os.makedirs(args.out, exist_ok=True)

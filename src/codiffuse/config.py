@@ -8,7 +8,7 @@ alpha grid 0.0..1.3 step 0.1 and tau grids 0.00..0.10 step 0.01.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .analysis import MIN_CEILING_STEPS
 from .engine import DEFAULT_SEED, RunConfig
@@ -17,29 +17,6 @@ from .kernel import ANNEALED, EXCLUSIVE, INCLUSIVE, QUENCHED, DormancyParams, Ke
 
 DEFAULT_ALPHAS = [round(0.1 * i, 10) for i in range(14)]
 DEFAULT_TAUS = [round(0.01 * i, 10) for i in range(11)]
-
-
-@dataclass
-class SweepSpec:
-    alphas: list[float] = field(default_factory=lambda: list(DEFAULT_ALPHAS))
-    tau_a: list[float] = field(default_factory=lambda: list(DEFAULT_TAUS))
-    tau_b: list[float] = field(default_factory=lambda: list(DEFAULT_TAUS))
-    iterations: int = 100
-    steps: int = 700
-    side: int = 80
-    degree: int = 4
-    graph_mode: str = "multiplex"
-    freeze_rrg: bool = False
-    k_a: float = 2.0
-    k_b: float = 2.0
-    adoption: str = INCLUSIVE
-    thresholds: str = ANNEALED
-    seeds_per_contagion: int = 1
-    enforce_tau_b_lt_tau_a: bool = False
-    seed: int = DEFAULT_SEED
-    mf_h: float = 0.1
-    mf_horizon: float = 700.0
-    mf_kappa: int = 4
 
 
 def _require(cond: bool, msg: str):
@@ -54,17 +31,27 @@ def _check_keys(d: dict, allowed: set[str], path: str):
             raise ConfigurationError(f"unknown config key: {where}")
 
 
+# Parsers take (value, path) and return the validated field value.
+
 def _number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{path} must be a number, got {value!r}")
     return float(value)
 
 
-def _integer(value, path: str, minimum: int) -> int:
-    _require(isinstance(value, int) and not isinstance(value, bool),
-             f"{path} must be an integer, got {value!r}")
-    _require(value >= minimum, f"{path} must be >= {minimum}, got {value}")
-    return value
+def _positive(value, path: str) -> float:
+    x = _number(value, path)
+    _require(x > 0, f"{path} must be > 0, got {x}")
+    return x
+
+
+def _integer(minimum: int):
+    def parse(value, path: str) -> int:
+        _require(isinstance(value, int) and not isinstance(value, bool),
+                 f"{path} must be an integer, got {value!r}")
+        _require(value >= minimum, f"{path} must be >= {minimum}, got {value}")
+        return value
+    return parse
 
 
 def _boolean(value, path: str) -> bool:
@@ -72,91 +59,93 @@ def _boolean(value, path: str) -> bool:
     return value
 
 
-def _float_list(value, path: str, low: float | None, high: float | None) -> list[float]:
-    _require(isinstance(value, list) and len(value) > 0, f"{path} must be a nonempty list")
-    out = []
-    for i, item in enumerate(value):
-        x = _number(item, f"{path}[{i}]")
-        if low is not None:
+def _float_list(low: float, high: float | None):
+    def parse(value, path: str) -> list[float]:
+        _require(isinstance(value, list) and len(value) > 0, f"{path} must be a nonempty list")
+        out = []
+        for i, item in enumerate(value):
+            x = _number(item, f"{path}[{i}]")
             _require(x >= low, f"{path}[{i}] must be >= {low}, got {x}")
-        if high is not None:
-            _require(x <= high, f"{path}[{i}] must be <= {high}, got {x}")
-        out.append(x)
-    return out
+            if high is not None:
+                _require(x <= high, f"{path}[{i}] must be <= {high}, got {x}")
+            out.append(x)
+        return out
+    return parse
 
 
-def _choice(value, path: str, options: tuple[str, ...]) -> str:
-    _require(value in options, f"{path} must be one of {options}, got {value!r}")
-    return value
+def _choice(*options: str):
+    def parse(value, path: str) -> str:
+        _require(value in options, f"{path} must be one of {options}, got {value!r}")
+        return value
+    return parse
+
+
+def _key(path: str, parse, default):
+    """A SweepSpec field read from the dotted JSON `path` through `parse`."""
+    meta = {"path": path, "parse": parse}
+    if isinstance(default, list):
+        return field(default_factory=lambda: list(default), metadata=meta)
+    return field(default=default, metadata=meta)
+
+
+@dataclass
+class SweepSpec:
+    alphas: list[float] = _key("alpha", _float_list(0.0, None), DEFAULT_ALPHAS)
+    tau_a: list[float] = _key("tau_a", _float_list(0.0, 1.0), DEFAULT_TAUS)
+    tau_b: list[float] = _key("tau_b", _float_list(0.0, 1.0), DEFAULT_TAUS)
+    iterations: int = _key("iterations", _integer(1), 100)
+    # Every emitted set needs a ceiling, so a horizon too short for one is
+    # rejected at load, before any compute or output.
+    steps: int = _key("steps", _integer(MIN_CEILING_STEPS), 700)
+    side: int = _key("graph.side", _integer(2), 80)
+    degree: int = _key("graph.degree", _integer(1), 4)
+    graph_mode: str = _key("graph.mode", _choice("multiplex", "single"), "multiplex")
+    freeze_rrg: bool = _key("graph.freeze_rrg", _boolean, False)
+    k_a: float = _key("kernel.k_a", _positive, 2.0)
+    k_b: float = _key("kernel.k_b", _positive, 2.0)
+    adoption: str = _key("kernel.adoption", _choice(INCLUSIVE, EXCLUSIVE), INCLUSIVE)
+    thresholds: str = _key("kernel.thresholds", _choice(ANNEALED, QUENCHED), ANNEALED)
+    seeds_per_contagion: int = _key("seeds_per_contagion", _integer(1), 1)
+    enforce_tau_b_lt_tau_a: bool = _key("enforce_tau_b_lt_tau_a", _boolean, False)
+    seed: int = _key("seed", _integer(0), DEFAULT_SEED)
+    mf_h: float = _key("meanfield.h", _positive, 0.1)
+    mf_horizon: float = _key("meanfield.horizon", _number, 700.0)
+    mf_kappa: int = _key("meanfield.kappa", _integer(1), 4)
+
+
+def _schema():
+    """(attribute, path, section, key, parser) per field, and the allowed keys per
+    section. Section "" is the root, which also allows each section's name."""
+    entries, keys = [], {"": set()}
+    for f in fields(SweepSpec):
+        path = f.metadata["path"]
+        section, _, key = path.rpartition(".")
+        entries.append((f.name, path, section, key, f.metadata["parse"]))
+        keys[""].add(section or key)
+        keys.setdefault(section, set()).add(key)
+    return entries, keys
+
+
+_FIELDS, _KEYS = _schema()
 
 
 def spec_from_dict(raw: dict) -> SweepSpec:
     """Validate a config mapping; unknown keys are rejected with their path."""
     _require(isinstance(raw, dict), "config root must be an object")
-    _check_keys(raw, {"alpha", "tau_a", "tau_b", "iterations", "steps", "graph", "kernel",
-                      "seeds_per_contagion", "enforce_tau_b_lt_tau_a", "seed", "meanfield"},
-                "")
-    spec = SweepSpec()
-    if "alpha" in raw:
-        spec.alphas = _float_list(raw["alpha"], "alpha", 0.0, None)
-    if "tau_a" in raw:
-        spec.tau_a = _float_list(raw["tau_a"], "tau_a", 0.0, 1.0)
-    if "tau_b" in raw:
-        spec.tau_b = _float_list(raw["tau_b"], "tau_b", 0.0, 1.0)
-    if "iterations" in raw:
-        spec.iterations = _integer(raw["iterations"], "iterations", 1)
-    if "steps" in raw:
-        # Every emitted set needs a ceiling, so reject a horizon too short for one
-        # here, before any compute or output.
-        spec.steps = _integer(raw["steps"], "steps", MIN_CEILING_STEPS)
-    if "graph" in raw:
-        g = raw["graph"]
-        _require(isinstance(g, dict), "graph must be an object")
-        _check_keys(g, {"mode", "side", "degree", "freeze_rrg"}, "graph")
-        if "mode" in g:
-            spec.graph_mode = _choice(g["mode"], "graph.mode", ("multiplex", "single"))
-        if "side" in g:
-            spec.side = _integer(g["side"], "graph.side", 2)
-        if "degree" in g:
-            spec.degree = _integer(g["degree"], "graph.degree", 1)
-        if "freeze_rrg" in g:
-            spec.freeze_rrg = _boolean(g["freeze_rrg"], "graph.freeze_rrg")
-    if "kernel" in raw:
-        k = raw["kernel"]
-        _require(isinstance(k, dict), "kernel must be an object")
-        _check_keys(k, {"k_a", "k_b", "adoption", "thresholds"}, "kernel")
-        if "k_a" in k:
-            spec.k_a = _number(k["k_a"], "kernel.k_a")
-            _require(spec.k_a > 0, f"kernel.k_a must be > 0, got {spec.k_a}")
-        if "k_b" in k:
-            spec.k_b = _number(k["k_b"], "kernel.k_b")
-            _require(spec.k_b > 0, f"kernel.k_b must be > 0, got {spec.k_b}")
-        if "adoption" in k:
-            spec.adoption = _choice(k["adoption"], "kernel.adoption", (INCLUSIVE, EXCLUSIVE))
-        if "thresholds" in k:
-            spec.thresholds = _choice(k["thresholds"], "kernel.thresholds",
-                                      (ANNEALED, QUENCHED))
-    if "seeds_per_contagion" in raw:
-        spec.seeds_per_contagion = _integer(raw["seeds_per_contagion"],
-                                            "seeds_per_contagion", 1)
-    if "enforce_tau_b_lt_tau_a" in raw:
-        spec.enforce_tau_b_lt_tau_a = _boolean(raw["enforce_tau_b_lt_tau_a"],
-                                               "enforce_tau_b_lt_tau_a")
-    if "seed" in raw:
-        spec.seed = _integer(raw["seed"], "seed", 0)
-    if "meanfield" in raw:
-        m = raw["meanfield"]
-        _require(isinstance(m, dict), "meanfield must be an object")
-        _check_keys(m, {"h", "horizon", "kappa"}, "meanfield")
-        if "h" in m:
-            spec.mf_h = _number(m["h"], "meanfield.h")
-            _require(spec.mf_h > 0, f"meanfield.h must be > 0, got {spec.mf_h}")
-        if "horizon" in m:
-            spec.mf_horizon = _number(m["horizon"], "meanfield.horizon")
-            _require(spec.mf_horizon >= spec.mf_h, "meanfield.horizon must be >= meanfield.h")
-        if "kappa" in m:
-            spec.mf_kappa = _integer(m["kappa"], "meanfield.kappa", 1)
+    _check_keys(raw, _KEYS[""], "")
+    sections = {"": raw}
+    values = {}
+    for name, path, section, key, parse in _FIELDS:
+        if section not in sections:
+            # A section's keys are checked when its first field is reached.
+            sub = sections[section] = raw.get(section, {})
+            _require(isinstance(sub, dict), f"{section} must be an object")
+            _check_keys(sub, _KEYS[section], section)
+        if key in sections[section]:
+            values[name] = parse(sections[section][key], path)
+    spec = SweepSpec(**values)
 
+    _require(spec.mf_horizon >= spec.mf_h, "meanfield.horizon must be >= meanfield.h")
     n = spec.side * spec.side
     _require(spec.degree < n, f"graph.degree must be < node count {n}, got {spec.degree}")
     _require((n * spec.degree) % 2 == 0,
@@ -168,29 +157,12 @@ def spec_from_dict(raw: dict) -> SweepSpec:
 
 def spec_to_dict(spec: SweepSpec) -> dict:
     """Inverse of spec_from_dict: spec_from_dict(spec_to_dict(s)) == s."""
-    return {
-        "alpha": list(spec.alphas),
-        "tau_a": list(spec.tau_a),
-        "tau_b": list(spec.tau_b),
-        "iterations": spec.iterations,
-        "steps": spec.steps,
-        "graph": {
-            "mode": spec.graph_mode,
-            "side": spec.side,
-            "degree": spec.degree,
-            "freeze_rrg": spec.freeze_rrg,
-        },
-        "kernel": {
-            "k_a": spec.k_a,
-            "k_b": spec.k_b,
-            "adoption": spec.adoption,
-            "thresholds": spec.thresholds,
-        },
-        "seeds_per_contagion": spec.seeds_per_contagion,
-        "enforce_tau_b_lt_tau_a": spec.enforce_tau_b_lt_tau_a,
-        "seed": spec.seed,
-        "meanfield": {"h": spec.mf_h, "horizon": spec.mf_horizon, "kappa": spec.mf_kappa},
-    }
+    out: dict = {}
+    for name, _, section, key, _ in _FIELDS:
+        target = out.setdefault(section, {}) if section else out
+        value = getattr(spec, name)
+        target[key] = list(value) if isinstance(value, list) else value
+    return out
 
 
 def load_spec(path: str) -> SweepSpec:

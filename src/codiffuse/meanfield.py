@@ -3,9 +3,10 @@
 Five fractions: x_a, x_b (active single adopters), x_ab (active dual adopters),
 x_naive, and x_r (dormant). Adoption rates instantiate the same kernel with the
 global adopter fractions as densities; the naive inflow is split between A and B
-by the relative-proportion rule. Every flux appears once as an outflow and once
-as an inflow, so the derivative components sum to zero by construction (the
-compartment total is conserved up to round-off).
+by the relative-proportion rule. In exclusive mode no single adopter becomes a
+dual adopter, so x_ab only decays by dormancy. Every flux appears once as an
+outflow and once as an inflow, so the derivative components sum to zero by
+construction (the compartment total is conserved up to round-off).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, IntegrationError
-from .kernel import DormancyParams, KernelParams, hill_term
+from .kernel import EXCLUSIVE, DormancyParams, KernelParams, hill_term
 
 BOUNDS_TOL = 1e-6
 
@@ -68,8 +69,11 @@ def mf_rates(state: np.ndarray, params: MeanFieldParams) -> np.ndarray:
         f_b = x_naive * p_naive * (tb / tot)
     else:
         f_a = f_b = 0.0
-    g_a = x_a * (tb / (1.0 + tb))  # single A adopters picking up B
-    g_b = x_b * (ta / (1.0 + ta))
+    if kern.mode == EXCLUSIVE:  # a single adopter is immune to the other contagion
+        g_a = g_b = 0.0
+    else:
+        g_a = x_a * (tb / (1.0 + tb))  # single A adopters picking up B
+        g_b = x_b * (ta / (1.0 + ta))
     r_a = dorm.tau_a * x_a
     r_b = dorm.tau_b * x_b
     r_ab = dorm.tau_ab * x_ab

@@ -1,7 +1,7 @@
-"""Smoke test of the benchmark harness at its shortest run length: each engine
-workload finishes, passes its own correctness gate and reports every
-per-layer metric BENCHMARK.json declares, so no traced call site is absent.
-It never gates on timing."""
+"""Smoke test of the benchmark harness at its shortest run length: each
+workload finishes, passes its own correctness gate (for meanfield_scan, the
+golden trajectory hashes) and reports every per-layer metric BENCHMARK.json
+declares, so no traced call site is absent. It never gates on timing."""
 
 import json
 import subprocess
@@ -13,7 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["ensemble_ref", "sweep_grid"])
+@pytest.mark.parametrize("workload", ["ensemble_ref", "sweep_grid", "meanfield_scan"])
 def test_traced_run_is_correct_and_reports_every_layer(workload):
     proc = subprocess.run([sys.executable, str(ROOT / "bench" / "run.py"), "--workload",
                            workload, "--seconds", "0", "--trace", "1"],

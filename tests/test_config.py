@@ -75,6 +75,33 @@ class TestValidation:
             spec_from_dict({"steps": 4})
         assert spec_from_dict({"steps": 5}).steps == 5
 
+    def test_meanfield_horizon_checked_against_default_horizon(self):
+        with pytest.raises(ConfigurationError,
+                           match="meanfield.horizon must be >= meanfield.h"):
+            spec_from_dict({"meanfield": {"h": 1000}})
+        assert spec_from_dict({"meanfield": {"h": 700}}).mf_h == 700.0
+
+    @pytest.mark.parametrize("raw, path", [
+        ({"x": 1}, "x"),
+        ({"graph": {"x": 1}}, "graph.x"),
+        ({"kernel": {"x": 1}}, "kernel.x"),
+        ({"meanfield": {"x": 1}}, "meanfield.x"),
+    ])
+    def test_unknown_key_in_each_section(self, raw, path):
+        with pytest.raises(ConfigurationError, match=f"^unknown config key: {path}$"):
+            spec_from_dict(raw)
+
+    @pytest.mark.parametrize("section", ["graph", "kernel", "meanfield"])
+    def test_section_must_be_an_object(self, section):
+        with pytest.raises(ConfigurationError, match=f"^{section} must be an object$"):
+            spec_from_dict({section: [1]})
+
+    def test_unknown_top_level_key_wins_over_nested_errors(self):
+        with pytest.raises(ConfigurationError, match="^unknown config key: steps2$"):
+            spec_from_dict({"graph": {"sides": 1}, "steps2": 4})
+        with pytest.raises(ConfigurationError, match="^steps must be >= 5, got 4$"):
+            spec_from_dict({"steps": 4, "graph": {"sides": 1}})
+
     def test_parity_of_stub_count(self):
         with pytest.raises(ConfigurationError, match="even"):
             spec_from_dict({"graph": {"side": 3, "degree": 3}})
@@ -94,6 +121,19 @@ class TestRoundTrip:
                                "kernel": {"adoption": "exclusive", "thresholds": "quenched"},
                                "seed": 99, "meanfield": {"h": 0.25, "horizon": 10.0}})
         assert spec_from_dict(spec_to_dict(spec)) == spec
+
+    def test_every_key_set_to_a_non_default_value_round_trips(self):
+        raw = {"alpha": [0.8, 1.2], "tau_a": [0.0, 0.05], "tau_b": [0.02],
+               "iterations": 7, "steps": 55,
+               "graph": {"mode": "single", "side": 12, "degree": 6, "freeze_rrg": True},
+               "kernel": {"k_a": 1.5, "k_b": 3.0, "adoption": "exclusive",
+                          "thresholds": "quenched"},
+               "seeds_per_contagion": 3, "enforce_tau_b_lt_tau_a": True, "seed": 99,
+               "meanfield": {"h": 0.25, "horizon": 10.0, "kappa": 6}}
+        spec = spec_from_dict(raw)
+        defaults = SweepSpec()
+        assert all(value != getattr(defaults, name) for name, value in vars(spec).items())
+        assert spec_to_dict(spec) == raw
 
     def test_json_file_round_trip(self, tmp_path):
         spec = SweepSpec()

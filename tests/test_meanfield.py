@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from codiffuse.errors import ConfigurationError, IntegrationError
-from codiffuse.kernel import DormancyParams, KernelParams
+from codiffuse.kernel import EXCLUSIVE, DormancyParams, KernelParams
 from codiffuse.meanfield import (
     MeanFieldParams,
     MeanFieldState,
@@ -86,6 +86,13 @@ class TestIntegrate:
         traj = integrate(seeded_state(), params)
         adopters = traj.states[-1, 0] + traj.states[-1, 1] + traj.states[-1, 2]
         assert adopters > 0.999
+
+    def test_exclusive_adoption_makes_no_dual_adopters(self):
+        params = MeanFieldParams(kernel=KernelParams(alpha=0.8, mode=EXCLUSIVE),
+                                 dormancy=DormancyParams(0.0, 0.0), h=0.1, horizon=700.0)
+        traj = integrate(seeded_state(), params)
+        assert np.all(traj.states[:, 2] == 0.0)
+        assert traj.states[-1, 0] + traj.states[-1, 1] > 0.999
 
     def test_unstable_step_size_reported(self):
         params = mfp(0.0, 0.0, 0.0, h=10.0, horizon=200.0)

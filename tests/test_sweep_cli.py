@@ -243,6 +243,12 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 77
 
+    def test_negative_seed_flag_exits_two(self, tmp_path):
+        proc = cli("graph-dump", "--seed", "-1", "--out", str(tmp_path / "g"))
+        assert proc.returncode == 2
+        assert "seed must be >= 0, got -1" in proc.stderr
+        assert not (tmp_path / "g").exists()
+
     def test_meanfield_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": [0.8], "tau_a": [0.04], "tau_b": [0.0],

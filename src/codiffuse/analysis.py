@@ -37,16 +37,14 @@ def category_series(counts: np.ndarray, category: str) -> np.ndarray:
     raise ValueError(f"unknown category {category!r}")
 
 
-def _window(length: int) -> int:
-    return math.ceil(CEILING_WINDOW * length)
-
-
-def ceiling(series: np.ndarray) -> float:
-    """Equilibrium level: mean of the trailing 20% (rounded up) of the series."""
+def ceiling(series: np.ndarray) -> np.ndarray:
+    """Equilibrium level: mean of the trailing 20% (rounded up) of each series
+    along the last axis; a numpy float for one series."""
     series = np.asarray(series)
-    if series.shape[-1] < MIN_CEILING_STEPS:
-        raise AnalysisError(f"series too short for a ceiling (length {series.shape[-1]})")
-    return float(series[-_window(series.shape[-1]):].mean())
+    length = series.shape[-1]
+    if length < MIN_CEILING_STEPS:
+        raise AnalysisError(f"series too short for a ceiling (length {length})")
+    return series[..., -math.ceil(CEILING_WINDOW * length):].mean(axis=-1)
 
 
 def inflection(series: np.ndarray) -> int | None:
@@ -63,13 +61,7 @@ def inflection(series: np.ndarray) -> int | None:
 
 def iteration_ceilings(counts: np.ndarray) -> np.ndarray:
     """(iterations, steps, 4) state counts -> (iterations, 4) ceilings per CATEGORIES."""
-    if counts.shape[1] < MIN_CEILING_STEPS:
-        raise AnalysisError(f"series too short for a ceiling (length {counts.shape[1]})")
-    w = _window(counts.shape[1])
-    out = np.empty((counts.shape[0], len(CATEGORIES)))
-    for k, cat in enumerate(CATEGORIES):
-        out[:, k] = category_series(counts, cat)[:, -w:].mean(axis=1)
-    return out
+    return np.stack([ceiling(category_series(counts, cat)) for cat in CATEGORIES], axis=-1)
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:

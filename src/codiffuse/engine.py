@@ -101,22 +101,6 @@ class CountsSeries:
     counts: np.ndarray  # (steps, 4) int64
     absorbed_at: int
 
-    @property
-    def naive(self) -> np.ndarray:
-        return self.counts[:, 0]
-
-    @property
-    def a(self) -> np.ndarray:
-        return self.counts[:, 1]
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.counts[:, 2]
-
-    @property
-    def ab(self) -> np.ndarray:
-        return self.counts[:, 3]
-
 
 @dataclass(frozen=True, eq=False)
 class EnsembleResult:
@@ -125,14 +109,6 @@ class EnsembleResult:
 
     counts: np.ndarray  # (iterations, steps, 4) int64
     absorbed_at: np.ndarray  # (iterations,) int64
-
-    @property
-    def iterations(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def steps(self) -> int:
-        return self.counts.shape[1]
 
     @property
     def mean(self) -> np.ndarray:

@@ -96,7 +96,7 @@ def integrate(initial: MeanFieldState, params: MeanFieldParams) -> Trajectory:
     """Classical fixed-step 4th-order integration to the horizon.
 
     The horizon is rounded to a whole number of steps. Raises IntegrationError
-    if any component leaves [0, 1] by more than 1e-6 (shrink h).
+    if any component leaves [0, 1] by more than 1e-6 or turns NaN (shrink h).
     """
     n_steps = max(1, round(params.horizon / params.h))
     h = params.h
@@ -109,7 +109,7 @@ def integrate(initial: MeanFieldState, params: MeanFieldParams) -> Trajectory:
         k3 = mf_rates(y + 0.5 * h * k2, params)
         k4 = mf_rates(y + h * k3, params)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if np.any(y < -BOUNDS_TOL) or np.any(y > 1.0 + BOUNDS_TOL):
+        if not np.all((y >= -BOUNDS_TOL) & (y <= 1.0 + BOUNDS_TOL)):
             raise IntegrationError(
                 f"state left [0,1] at t={k * h:.6g} (h={h}); reduce the step size"
             )

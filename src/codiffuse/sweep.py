@@ -46,19 +46,21 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def write_series_csv(path: str, counts: np.ndarray, as_int: bool) -> None:
-    """`step,naive,a,b,ab` rows; columns are the exclusive state counts.
+def _write_table(path: str, header: str, table: np.ndarray) -> None:
+    """`header`, then one row per leading index: the index, then the row's values.
 
-    Float rows use shortest round-trip formatting so `analyze` re-reads the
-    exact values the sweep computed.
+    Values go through `tolist()`, so ints print as ints and floats in shortest
+    round-trip form: `analyze` re-reads the exact values the sweep computed.
     """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("step,naive,a,b,ab\n")
-        for t, row in enumerate(counts):
-            if as_int:
-                fh.write(f"{t}," + ",".join(str(int(x)) for x in row) + "\n")
-            else:
-                fh.write(f"{t}," + ",".join(repr(float(x)) for x in row) + "\n")
+        fh.write(header + "\n")
+        for i, row in enumerate(table.tolist()):
+            fh.write(f"{i}," + ",".join(map(repr, row)) + "\n")
+
+
+def write_series_csv(path: str, counts: np.ndarray) -> None:
+    """`step,naive,a,b,ab` rows; columns are the exclusive state counts."""
+    _write_table(path, "step,naive,a,b,ab", counts)
 
 
 def read_series_csv(path: str) -> np.ndarray:
@@ -71,20 +73,21 @@ def read_series_csv(path: str) -> np.ndarray:
 
 def write_ceilings_csv(path: str, ceilings: np.ndarray) -> None:
     """Per-iteration ceilings; a and b count every adopter of that contagion."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("iteration,naive,a,b,ab\n")
-        for i, row in enumerate(ceilings):
-            fh.write(f"{i}," + ",".join(repr(float(x)) for x in row) + "\n")
+    _write_table(path, "iteration,naive,a,b,ab", ceilings)
 
 
 read_ceilings_csv = read_series_csv
 
 
-def write_heatmap_csv(path: str, rows: list[tuple]) -> None:
+def write_heatmap_csv(path: str, sets: list[tuple[int, float, float, float]],
+                      stats: dict[int, list[tuple]]) -> None:
+    """One row per (category, metric) of each set in `sets` order; a set without
+    `stats` (failed or pruned) has no rows."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(HEATMAP_HEADER + "\n")
-        for alpha, tau_a, tau_b, cat, metric, value in rows:
-            fh.write(f"{alpha:g},{tau_a:g},{tau_b:g},{cat},{metric},{_fmt(value)}\n")
+        for i, alpha, tau_a, tau_b in sets:
+            for cat, metric, value in stats.get(i, ()):
+                fh.write(f"{alpha:g},{tau_a:g},{tau_b:g},{cat},{metric},{_fmt(value)}\n")
 
 
 def _write_modality(out_dir: str, tag: str, ceilings: np.ndarray) -> list[str]:
@@ -142,12 +145,12 @@ def _emit_set(out_dir: str, tag: str, ens: EnsembleResult, per_iteration: bool,
     if per_iteration:
         for it, counts in enumerate(ens.counts):
             rel = os.path.join(SERIES_DIR, f"{tag}_iter{it:03d}.csv")
-            write_series_csv(os.path.join(out_dir, rel), counts, as_int=True)
+            write_series_csv(os.path.join(out_dir, rel), counts)
             files.append(rel)
     mean_counts = ens.mean
     ceilings = iteration_ceilings(ens.counts)
     rel = os.path.join(SERIES_DIR, f"{tag}_mean.csv")
-    write_series_csv(os.path.join(out_dir, rel), mean_counts, as_int=False)
+    write_series_csv(os.path.join(out_dir, rel), mean_counts)
     files.append(rel)
     rel = os.path.join(CEILINGS_DIR, f"{tag}.csv")
     write_ceilings_csv(os.path.join(out_dir, rel), ceilings)
@@ -260,8 +263,7 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
 
     try:
         _run_units(spec, units, workers, collect)
-        rows = [(alpha, ta, tb, *stat) for i, alpha, ta, tb in sets for stat in stats.get(i, ())]
-        write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), rows)
+        write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), sets, stats)
         files.append("heatmap.csv")
     except OSError as exc:
         # Abort, but leave a manifest covering whatever reached disk.
@@ -297,7 +299,7 @@ def run_single(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
 
 
 def analyze(out_dir: str) -> None:
-    """Recompute heatmap and modality reports from the stored series of a sweep.
+    """Recompute heatmap and modality reports from a sweep's or run's stored series.
 
     Reads the manifest for the parameter list, then the per-set mean series and
     per-iteration ceilings; rewrites heatmap.csv and modality/ in place. Before
@@ -308,9 +310,9 @@ def analyze(out_dir: str) -> None:
         raise ConfigurationError(f"no manifest.json under {out_dir}")
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    sets = [(e["index"], e["alpha"], e["tau_a"], e["tau_b"]) for e in manifest["parameter_sets"]]
     inputs = []
-    for entry in manifest["parameter_sets"]:
-        i, alpha, ta, tb = entry["index"], entry["alpha"], entry["tau_a"], entry["tau_b"]
+    for i, alpha, ta, tb in sets:
         tag = set_tag(i, alpha, ta, tb)
         rels = (os.path.join(SERIES_DIR, f"{tag}_mean.csv"), os.path.join(CEILINGS_DIR, f"{tag}.csv"))
         paths = [os.path.join(out_dir, rel) for rel in rels]
@@ -322,12 +324,11 @@ def analyze(out_dir: str) -> None:
                 raise AnalysisError(f"{rel} is not listed in manifest.json")
             if digest != _sha256(path):
                 raise AnalysisError(f"{rel} does not match its manifest.json hash")
-        inputs.append((alpha, ta, tb, tag, *paths))
-    heatmap_rows: list[tuple] = []
-    for alpha, ta, tb, tag, mean_path, ceil_path in inputs:
+        inputs.append((i, tag, *paths))
+    stats: dict[int, list[tuple]] = {}
+    for i, tag, mean_path, ceil_path in inputs:
         mean_counts = read_series_csv(mean_path)
         ceilings = read_ceilings_csv(ceil_path)
         _write_modality(out_dir, tag, ceilings)
-        for cat, metric, value in ensemble_stats(mean_counts, ceilings):
-            heatmap_rows.append((alpha, ta, tb, cat, metric, value))
-    write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), heatmap_rows)
+        stats[i] = ensemble_stats(mean_counts, ceilings)
+    write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), sets, stats)

@@ -38,6 +38,16 @@ class TestCeiling:
         assert ceiling(extended) == ceiling(series)
         assert inflection(extended) == inflection(series)
 
+    def test_reduces_the_last_axis(self):
+        rows = stream(57, 0).integers(0, 100, (6, 30))
+        np.testing.assert_array_equal(ceiling(rows), [ceiling(row) for row in rows])
+
+    def test_iteration_ceilings_are_category_ceilings(self):
+        counts = stream(58, 0).integers(0, 50, (5, 23, 4))
+        ceilings = iteration_ceilings(counts)
+        for k, cat in enumerate(CATEGORIES):
+            np.testing.assert_array_equal(ceilings[:, k], ceiling(category_series(counts, cat)))
+
 
 class TestInflection:
     def test_step_function(self):

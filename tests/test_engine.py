@@ -201,20 +201,20 @@ class TestRun:
         cfg = small_config(steps=60)
         cs = run(cfg, 3)
         assert (cs.counts.sum(axis=1) == cfg.n).all()
-        assert (np.diff(cs.ab) >= 0).all()
+        assert (np.diff(cs.counts[:, 3]) >= 0).all()
 
     def test_full_codiffusion_at_zero_alpha_zero_tau(self):
         cfg = RunConfig(kernel=KernelParams(alpha=0.0), dormancy=DormancyParams(0.0, 0.0),
                         side=80, steps=700, master_seed=5)
         cs = run(cfg, 0)
-        assert cs.naive[-1] == 0
-        assert cs.ab[-1] == 6400
+        assert cs.counts[-1, 0] == 0
+        assert cs.counts[-1, 3] == 6400
 
     def test_exclusive_mode_never_reaches_ab(self):
         cfg = small_config(kernel=KernelParams(alpha=0.3, mode=EXCLUSIVE), steps=50)
         cs = run(cfg, 0)
-        assert (cs.ab == 0).all()
-        assert cs.naive[-1] < cfg.n - 2  # it does spread, just without overlap
+        assert (cs.counts[:, 3] == 0).all()
+        assert cs.counts[-1, 0] < cfg.n - 2  # it does spread, just without overlap
 
     def test_single_layer_mode_shares_lattice(self):
         cfg = small_config(graph_mode="single")

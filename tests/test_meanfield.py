@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from codiffuse.cli import main
 from codiffuse.errors import ConfigurationError, IntegrationError
 from codiffuse.kernel import EXCLUSIVE, DormancyParams, KernelParams
 from codiffuse.meanfield import (
@@ -98,6 +101,18 @@ class TestIntegrate:
         params = mfp(0.0, 0.0, 0.0, h=10.0, horizon=200.0)
         with pytest.raises(IntegrationError, match="reduce the step"):
             integrate(MeanFieldState(0.1, 0.1, 0.0, 0.8, 0.0), params)
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_nan_state_exits_three_and_writes_nothing(self, tmp_path, capsys):
+        # An RK stage goes negative, hill_term raises it to a fractional power
+        # and returns NaN, which must fail the bounds check like any overshoot.
+        cfg = tmp_path / "mf.json"
+        cfg.write_text(json.dumps({"alpha": [0.3], "tau_a": [0.5], "tau_b": [0.25],
+                                   "meanfield": {"h": 5.0}}))
+        out = tmp_path / "mf"
+        assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 3
+        assert "reduce the step size" in capsys.readouterr().err
+        assert not (out / "meanfield.csv").exists()
 
     def test_bad_step_sizes_rejected(self):
         with pytest.raises(ConfigurationError):

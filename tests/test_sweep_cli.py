@@ -18,6 +18,8 @@ from codiffuse.sweep import (
     read_series_csv,
     run_single,
     sweep,
+    write_ceilings_csv,
+    write_series_csv,
 )
 
 TINY = {
@@ -106,12 +108,30 @@ class TestSweepOutputs:
         ceilings = read_ceilings_csv(os.path.join(out, "ceilings", tag_ceil))
         assert ceilings.shape == (3, 4)
 
-    def test_analyze_reproduces_heatmap_and_modality(self, tmp_path):
-        spec = spec_from_dict(TINY)
+    def test_tables_print_python_scalars_and_round_trip(self, tmp_path):
+        path = str(tmp_path / "table.csv")
+        ints = np.array([[6400, 0, 0, 0], [1, 2, 3, 6394]], dtype=np.int64)
+        write_series_csv(path, ints)
+        with open(path) as fh:
+            assert fh.read() == "step,naive,a,b,ab\n0,6400,0,0,0\n1,1,2,3,6394\n"
+        np.testing.assert_array_equal(read_series_csv(path), ints)
+        floats = np.array([[0.1, 1 / 3, 2.5, 6400.0]])
+        write_ceilings_csv(path, floats)
+        with open(path) as fh:
+            assert fh.read() == "iteration,naive,a,b,ab\n0,0.1,0.3333333333333333,2.5,6400.0\n"
+        np.testing.assert_array_equal(read_ceilings_csv(path), floats)
+
+    @pytest.mark.parametrize("entry, overrides", [
+        (sweep, {}),
+        (run_single, {"alpha": [0.9], "tau_a": [0.05]}),
+    ], ids=["sweep", "run"])
+    def test_analyze_reproduces_heatmap_and_modality(self, tmp_path, entry, overrides):
+        spec = spec_from_dict({**TINY, **overrides})
         out = str(tmp_path / "out")
-        sweep(spec, out, workers=1)
+        entry(spec, out, workers=1)
         before_heat = tree_bytes(out, "heatmap.csv")
         before_modality = tree_bytes(os.path.join(out, "modality"), ".json")
+        assert before_modality
         analyze(out)
         assert tree_bytes(out, "heatmap.csv") == before_heat
         assert tree_bytes(os.path.join(out, "modality"), ".json") == before_modality

@@ -39,7 +39,6 @@ from .kernel import (  # noqa: F401
     adoption_probability,
     choose_contagion,
     dormancy_rate,
-    hill,
     threshold_of,
 )
 from .meanfield import MeanFieldParams, MeanFieldState, integrate, mf_rates  # noqa: F401
@@ -48,5 +47,4 @@ from .topology import (  # noqa: F401
     MultiplexGraph,
     build_lattice,
     build_rrg,
-    neighbors,
 )

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import AnalysisError
 
 CATEGORIES = ("naive", "a", "b", "ab")
-METRICS = ("ceiling_mean", "ceiling_std", "inflection_mean")
 CEILING_WINDOW = 0.2  # trailing fraction of the series that defines the ceiling
 MIN_CEILING_STEPS = 5  # shortest series a ceiling is defined on
 MODE_PROMINENCE = 0.05  # local maxima below this fraction of the peak are noise
@@ -99,16 +98,14 @@ class ModalityReport:
         }
 
 
-def kde(values: np.ndarray, bandwidth: float | None = None) -> ModalityReport:
-    """Gaussian-kernel density of the values on a 512-point grid spanning
-    [min - 3h, max + 3h]; modes are interior local maxima with density at least
-    5% of the global peak."""
+def kde(values: np.ndarray) -> ModalityReport:
+    """Gaussian-kernel density of the values, Silverman bandwidth h, on a
+    512-point grid spanning [min - 3h, max + 3h]; modes are interior local
+    maxima with density at least 5% of the global peak."""
     values = np.asarray(values, dtype=float).ravel()
     if values.size < 2:
         raise AnalysisError(f"kde needs at least 2 values, got {values.size}")
-    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(values)
-    if h <= 0:
-        raise AnalysisError(f"bandwidth must be positive, got {h}")
+    h = silverman_bandwidth(values)
     grid = np.linspace(values.min() - 3 * h, values.max() + 3 * h, KDE_GRID_SIZE)
     z = (grid[:, None] - values[None, :]) / h
     density = np.exp(-0.5 * z * z).sum(axis=1) / (values.size * h * math.sqrt(2 * math.pi))

@@ -1,11 +1,12 @@
 """Command line front end.
 
-    codiffuse run|sweep|analyze|meanfield|graph-dump --config PATH [--seed N]
-              [--workers N] [--out DIR]
+    codiffuse run|sweep [--config PATH] [--seed N] [--workers N] [--out DIR]
+    codiffuse meanfield|graph-dump [--config PATH] [--seed N] [--out DIR]
+    codiffuse analyze [--out DIR]
 
-Exit codes: 0 success, 2 configuration error, 3 runtime error. Progress goes to
-stderr; data goes to files under --out. Worker count resolves as
---workers, then $CODIFFUSE_WORKERS, then the cpu count.
+Each command accepts only the flags it reads. Exit codes: 0 success, 2
+configuration error, 3 runtime error. Progress goes to stderr; data goes to
+files under --out. The worker count is --workers, else the cpu count.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .config import (SweepSpec, enumerate_parameter_sets, load_spec, run_config_for,
+from .config import (SweepSpec, load_spec, run_config_for, single_parameter_set,
                      spec_from_dict, spec_to_dict)
 from .engine import ITERATION_STREAM, iteration_graph, stream
 from .errors import AnalysisError, ConfigurationError, GraphGenerationError, IntegrationError
@@ -27,18 +28,21 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="codiffuse",
                                      description="Two-contagion multiplex diffusion simulator")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("run", "one parameter set, full per-iteration series"),
-        ("sweep", "the whole parameter cube"),
-        ("analyze", "recompute statistics from a sweep's stored series"),
-        ("meanfield", "well-mixed ODE trajectory for one parameter set"),
-        ("graph-dump", "write both layers as edge lists"),
+    spec = argparse.ArgumentParser(add_help=False)
+    spec.add_argument("--config", help="JSON config file (defaults apply when omitted)")
+    spec.add_argument("--seed", type=int, help="override the master seed")
+    workers = argparse.ArgumentParser(add_help=False)
+    workers.add_argument("--workers", type=int, help="worker process count (default: cpu count)")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="results", help="output directory (default: results)")
+    for name, parents, helptext in (
+        ("run", (spec, workers, out), "one parameter set, full per-iteration series"),
+        ("sweep", (spec, workers, out), "the whole parameter cube"),
+        ("analyze", (out,), "recompute statistics from a sweep's stored series"),
+        ("meanfield", (spec, out), "well-mixed ODE trajectory for one parameter set"),
+        ("graph-dump", (spec, out), "write both layers as edge lists"),
     ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", help="JSON config file (defaults apply when omitted)")
-        p.add_argument("--seed", type=int, help="override the master seed")
-        p.add_argument("--workers", type=int, help="worker process count")
-        p.add_argument("--out", default="results", help="output directory (default: results)")
+        sub.add_parser(name, parents=parents, help=helptext)
     return parser
 
 
@@ -50,15 +54,7 @@ def _load(args: argparse.Namespace) -> SweepSpec:
 
 
 def _workers(args: argparse.Namespace) -> int:
-    if args.workers is not None:
-        value = args.workers
-    elif os.environ.get("CODIFFUSE_WORKERS"):
-        try:
-            value = int(os.environ["CODIFFUSE_WORKERS"])
-        except ValueError as exc:
-            raise ConfigurationError(f"CODIFFUSE_WORKERS must be an integer: {exc}") from exc
-    else:
-        value = os.cpu_count() or 1
+    value = (os.cpu_count() or 1) if args.workers is None else args.workers
     if value < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {value}")
     return value
@@ -81,11 +77,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_meanfield(args: argparse.Namespace) -> int:
     spec = _load(args)
-    sets = enumerate_parameter_sets(spec)
-    if len(sets) != 1:
-        raise ConfigurationError(
-            f"meanfield wants a single parameter set, config enumerates {len(sets)}")
-    cfg = run_config_for(spec, *sets[0])
+    cfg = run_config_for(spec, *single_parameter_set(spec, "meanfield"))
     params = MeanFieldParams(kernel=cfg.kernel, dormancy=cfg.dormancy,
                              kappa=spec.mf_kappa, h=spec.mf_h, horizon=spec.mf_horizon)
     x0 = cfg.seeds_per_contagion / cfg.n

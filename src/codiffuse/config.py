@@ -190,6 +190,15 @@ def enumerate_parameter_sets(spec: SweepSpec) -> list[tuple[int, float, float, f
     return [(i, a, ta, tb) for i, (a, ta, tb) in enumerate(triples)]
 
 
+def single_parameter_set(spec: SweepSpec, command: str) -> tuple[int, float, float, float]:
+    """The one (index, alpha, tau_a, tau_b) that `command` runs on; the rule is
+    on the enumerated sets, so a filtered cube of one set qualifies."""
+    sets = enumerate_parameter_sets(spec)
+    _require(len(sets) == 1,
+             f"{command} wants a single parameter set, config enumerates {len(sets)}")
+    return sets[0]
+
+
 def run_config_for(spec: SweepSpec, param_index: int, alpha: float,
                    tau_a: float, tau_b: float) -> RunConfig:
     kernel = KernelParams(alpha=alpha, k_a=spec.k_a, k_b=spec.k_b,

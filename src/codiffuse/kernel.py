@@ -79,12 +79,6 @@ def hill_term(x: float, k: float, alpha: float) -> float:
     return (x / k) ** alpha
 
 
-def hill(x: float, k: float, alpha: float) -> float:
-    """Saturating response x^alpha / (x^alpha + k^alpha), 0 at x == 0 for every alpha."""
-    t = hill_term(x, k, alpha)
-    return t / (1.0 + t)
-
-
 def hill_term_vec(x: np.ndarray, k: float, alpha: float) -> np.ndarray:
     """Vectorized hill_term. np.power gives 0**0 == 1, so zeros are masked explicitly."""
     return np.where(x > 0.0, np.power(x / k, alpha), 0.0)

@@ -27,7 +27,8 @@ import numpy as np
 
 from . import __version__
 from .analysis import CATEGORIES, ensemble_stats, iteration_ceilings, kde
-from .config import SweepSpec, enumerate_parameter_sets, run_config_for, spec_to_dict
+from .config import (SweepSpec, enumerate_parameter_sets, run_config_for,
+                     single_parameter_set, spec_to_dict)
 from .engine import EnsembleResult, run_ensemble
 from .errors import AnalysisError, ConfigurationError
 
@@ -216,9 +217,9 @@ def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
 
 
 def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
-              sets: list[tuple[int, float, float, float]], per_iteration: bool) -> dict:
+              sets: list[tuple[int, float, float, float]]) -> dict:
     """Run `sets` and write each one as soon as its last unit is back; returns
-    the manifest.
+    the manifest. `run` also writes every iteration's series.
 
     A set's iterations are split into strided ranges only when workers
     outnumber sets. A set holds its counts only until it is written. A failed
@@ -257,7 +258,7 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
             absorbed = f" absorbed p50={summary['p50']:g}/{spec.steps}"
             stats[i] = _emit_set(out_dir, set_tag(i, alpha, ta, tb),
                                  EnsembleResult(counts=counts, absorbed_at=absorbed_at),
-                                 per_iteration, files)
+                                 command == "run", files)
         _progress(f"[{len(stats) + len(manifest['failures'])}/{len(sets)}] "
                   f"set {i} done ({time.monotonic() - t0:.1f}s){absorbed}")
 
@@ -279,23 +280,16 @@ def sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
     sets = enumerate_parameter_sets(spec)
     if not sets:
         raise ConfigurationError("parameter cube is empty (constraint filtered everything)")
-    return _simulate(spec, out_dir, workers, "sweep", sets, per_iteration=False)
+    return _simulate(spec, out_dir, workers, "sweep", sets)
 
 
 def run_single(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
     """One parameter set with full per-iteration series on disk; returns the
     manifest dict.
 
-    The config's alpha/tau lists must each hold exactly one value.
+    The config must enumerate exactly one parameter set.
     """
-    for name, values in (("alpha", spec.alphas), ("tau_a", spec.tau_a), ("tau_b", spec.tau_b)):
-        if len(values) != 1:
-            raise ConfigurationError(
-                f"run wants a single parameter set; {name} has {len(values)} values")
-    sets = enumerate_parameter_sets(spec)
-    if not sets:
-        raise ConfigurationError("parameter set filtered out by the tau_b < tau_a constraint")
-    return _simulate(spec, out_dir, workers, "run", sets, per_iteration=True)
+    return _simulate(spec, out_dir, workers, "run", [single_parameter_set(spec, "run")])
 
 
 def analyze(out_dir: str) -> None:
@@ -303,7 +297,9 @@ def analyze(out_dir: str) -> None:
 
     Reads the manifest for the parameter list, then the per-set mean series and
     per-iteration ceilings; rewrites heatmap.csv and modality/ in place. Before
-    it reads or writes anything, every input must match its manifest hash.
+    it reads or writes anything, every input must be listed in the manifest, be
+    on disk and match its hash. A set with an input that is both unlisted and
+    absent is skipped: it failed, or an aborted sweep never wrote it.
     """
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -311,18 +307,20 @@ def analyze(out_dir: str) -> None:
     with open(manifest_path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     sets = [(e["index"], e["alpha"], e["tau_a"], e["tau_b"]) for e in manifest["parameter_sets"]]
+    listed = manifest["files"]
     inputs = []
     for i, alpha, ta, tb in sets:
         tag = set_tag(i, alpha, ta, tb)
         rels = (os.path.join(SERIES_DIR, f"{tag}_mean.csv"), os.path.join(CEILINGS_DIR, f"{tag}.csv"))
         paths = [os.path.join(out_dir, rel) for rel in rels]
-        if not all(os.path.exists(path) for path in paths):
-            continue  # failed or pruned set
+        if any(rel not in listed and not os.path.exists(path) for rel, path in zip(rels, paths)):
+            continue  # a failed set, or one an aborted sweep never wrote
         for rel, path in zip(rels, paths):
-            digest = manifest["files"].get(rel)
-            if digest is None:
+            if rel not in listed:
                 raise AnalysisError(f"{rel} is not listed in manifest.json")
-            if digest != _sha256(path):
+            if not os.path.exists(path):
+                raise AnalysisError(f"{rel} is listed in manifest.json but missing")
+            if listed[rel] != _sha256(path):
                 raise AnalysisError(f"{rel} does not match its manifest.json hash")
         inputs.append((i, tag, *paths))
     stats: dict[int, list[tuple]] = {}

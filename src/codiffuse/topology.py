@@ -1,10 +1,10 @@
 """Two-layer network construction: periodic square lattice + random regular graph.
 
 Both layers are regular, so adjacency is stored as a rectangular (n, t) array
-of neighbor ids. Rows may contain duplicates: on a side-2 or side-3 lattice the
-periodic wrap maps two directions onto the same cell, and the duplicate entries
-are kept so every node always has exactly 4 lattice neighbor slots (the density
-denominator stays fixed).
+of neighbor ids. Rows may contain duplicates: on a side-2 lattice the periodic
+wrap maps up and down, and left and right, onto the same cell, and the duplicate
+entries are kept so every node always has exactly 4 lattice neighbor slots (the
+density denominator stays fixed). From side 3 up the four slots are distinct.
 """
 
 from __future__ import annotations
@@ -107,18 +107,10 @@ def build_rrg(n: int, degree: int, rng: np.random.Generator,
     )
 
 
-def neighbors(graph: MultiplexGraph, layer_select: str, node: int) -> list[int]:
-    """Adjacency list of `node` on layer 'a' or 'b', in stable order."""
-    if layer_select not in ("a", "b"):
-        raise ValueError(f"layer_select must be 'a' or 'b', got {layer_select!r}")
-    layer = graph.layer_a if layer_select == "a" else graph.layer_b
-    if not 0 <= node < layer.n:
-        raise IndexError(f"node {node} out of range [0, {layer.n})")
-    return [int(x) for x in layer.nbrs[node]]
-
-
 def write_edgelist(layer: Layer, label: str, fh: TextIO) -> None:
-    """Dump one layer as `u v` lines (each undirected edge once) after a header line."""
+    """Dump one layer as `u v` lines, u <= v, one per neighbor slot of u, after a
+    header line. A simple layer lists each undirected edge once; a side-2
+    lattice's duplicate slots list each of its edges twice."""
     fh.write(f"# layer={label} kind={layer.kind} n={layer.n}\n")
     for i in range(layer.n):
         for j in layer.nbrs[i]:

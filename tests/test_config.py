@@ -9,6 +9,7 @@ from codiffuse.config import (
     enumerate_parameter_sets,
     load_spec,
     run_config_for,
+    single_parameter_set,
     spec_from_dict,
     spec_to_dict,
 )
@@ -155,6 +156,16 @@ class TestEnumeration:
         sets = enumerate_parameter_sets(spec)
         assert [(ta, tb) for _i, _a, ta, tb in sets] == [(0.05, 0.0), (0.1, 0.0), (0.1, 0.05)]
         assert [i for i, *_rest in sets] == [0, 1, 2]
+
+    def test_single_set_rule_counts_enumerated_sets(self):
+        raw = {"alpha": [1.2], "tau_a": [0.0, 0.05], "tau_b": [0.02],
+               "enforce_tau_b_lt_tau_a": True}
+        assert single_parameter_set(spec_from_dict(raw), "run") == (0, 1.2, 0.05, 0.02)
+        for overrides, count in (({"tau_a": [0.0]}, 0), ({"enforce_tau_b_lt_tau_a": False}, 2)):
+            with pytest.raises(ConfigurationError,
+                               match=f"^meanfield wants a single parameter set, "
+                                     f"config enumerates {count}$"):
+                single_parameter_set(spec_from_dict({**raw, **overrides}), "meanfield")
 
     def test_run_config_carries_triple(self):
         spec = spec_from_dict({"alpha": [0.9], "tau_a": [0.03], "tau_b": [0.01],

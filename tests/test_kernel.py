@@ -18,7 +18,6 @@ from codiffuse.kernel import (
     choose_contagion,
     dormancy_rate,
     fires,
-    hill,
     hill_term,
     hill_term_vec,
     threshold_of,
@@ -30,16 +29,9 @@ def kp(alpha, **kw):
 
 
 class TestHill:
-    def test_half_saturation(self):
-        assert hill(2.0, 2.0, 1.0) == pytest.approx(0.5)
-
     def test_zero_density_is_zero_for_every_alpha(self):
         for alpha in (0.0, 0.5, 1.0, 1.3, 2.0):
-            assert hill(0.0, 2.0, alpha) == 0.0
             assert hill_term(0.0, 2.0, alpha) == 0.0
-
-    def test_direct_arithmetic(self):
-        assert hill(1.0, 2.0, 1.0) == pytest.approx(1.0 / 3.0)
 
     def test_vectorized_matches_scalar(self):
         xs = np.array([0.0, 0.25, 0.5, 1.0])

@@ -174,6 +174,10 @@ class TestSweepOutputs:
         assert len(os.listdir(os.path.join(out, "series"))) == 3
         with open(os.path.join(out, "heatmap.csv")) as fh:
             assert len(fh.read().strip().split("\n")) - 1 == 3 * 12
+        # analyze skips the failed set, whose files are unlisted and absent
+        heat = tree_bytes(out, "heatmap.csv")
+        analyze(out)
+        assert tree_bytes(out, "heatmap.csv") == heat
 
 
 class TestAbsorptionSummary:
@@ -221,6 +225,16 @@ class TestRunSingle:
         from codiffuse.errors import ConfigurationError
         with pytest.raises(ConfigurationError, match="single parameter set"):
             run_single(spec, str(tmp_path / "out"))
+
+    def test_filtered_single_set_runs_like_sweep(self, tmp_path):
+        spec = spec_from_dict({**TINY, "alpha": [0.9], "enforce_tau_b_lt_tau_a": True})
+        run_out, sweep_out = tmp_path / "run", tmp_path / "sweep"
+        run_single(spec, str(run_out), workers=1)
+        sweep(spec, str(sweep_out), workers=1)
+        swept, ran = tree_bytes(sweep_out, ""), tree_bytes(run_out, "")
+        del swept["manifest.json"]
+        assert os.path.join("ceilings", "set0000_a0.9_ta0.05_tb0.02.csv") in swept
+        assert {rel: ran.get(rel) for rel in swept} == swept
 
 
 def cli(*args, cwd=None):
@@ -393,28 +407,34 @@ class TestCli:
         assert "boom" in manifest["failures"][0]["error"]
         assert os.listdir(out / "series") == [] and os.listdir(out / "ceilings") == []
 
+    def test_analyze_refuses_a_listed_input_that_is_missing(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        sweep(spec_from_dict(TINY), str(out), workers=1)
+        before = {**tree_bytes(out, "heatmap.csv"), **tree_bytes(out / "modality", ".json")}
+        ceil = sorted((out / "ceilings").iterdir())[1]
+        ceil.unlink()
+        assert main(["analyze", "--out", str(out)]) == 3
+        assert f"{ceil.name} is listed in manifest.json but missing" in capsys.readouterr().err
+        assert {**tree_bytes(out, "heatmap.csv"), **tree_bytes(out / "modality", ".json")} == before
+
     def test_analyze_without_manifest_exits_two(self, tmp_path):
         proc = cli("analyze", "--out", str(tmp_path))
         assert proc.returncode == 2
 
-    def test_env_var_sets_worker_count(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
-                                   "iterations": 1, "steps": 10, "graph": {"side": 6},
-                                   "seed": 5}))
-        out = tmp_path / "results"
-        proc = subprocess.run(
-            [sys.executable, "-m", "codiffuse.cli", "sweep", "--config", str(cfg),
-             "--out", str(out)],
-            capture_output=True, text=True,
-            env={**os.environ, "CODIFFUSE_WORKERS": "2"})
-        assert proc.returncode == 0, proc.stderr
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["workers"] == 2
-
-    def test_bad_env_worker_count_exits_two(self, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "codiffuse.cli", "sweep", "--out", str(tmp_path / "o")],
-            capture_output=True, text=True,
-            env={**os.environ, "CODIFFUSE_WORKERS": "lots"})
+    @pytest.mark.parametrize("command, flag, value", [
+        ("analyze", "--workers", "2"),
+        ("meanfield", "--workers", "2"),
+        ("graph-dump", "--workers", "2"),
+        ("analyze", "--config", "nope.json"),
+        ("analyze", "--seed", "3"),
+    ])
+    def test_flag_the_command_does_not_read_exits_two(self, tmp_path, command, flag, value):
+        proc = cli(command, flag, value, "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
+        assert f"unrecognized arguments: {flag} {value}" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_workers_exits_two(self, tmp_path):
+        proc = cli("sweep", "--workers", "0", "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2
+        assert "worker count must be >= 1, got 0" in proc.stderr

@@ -9,7 +9,6 @@ from codiffuse.topology import (
     MultiplexGraph,
     build_lattice,
     build_rrg,
-    neighbors,
     write_edgelist,
 )
 
@@ -34,8 +33,7 @@ class TestLattice:
 
     def test_origin_neighbors_wrap(self):
         lat = build_lattice(80)
-        g = MultiplexGraph(lat, lat)
-        got = set(neighbors(g, "a", 0))
+        got = {int(x) for x in lat.nbrs[0]}
         assert got == {rc(80, 79, 0), rc(80, 1, 0), rc(80, 0, 79), rc(80, 0, 1)}
 
     def test_side_two_wrap_keeps_duplicates(self):
@@ -43,6 +41,11 @@ class TestLattice:
         row = [int(x) for x in lat.nbrs[0]]
         assert len(row) == 4
         assert sorted(set(row)) == [1, 2]
+
+    @pytest.mark.parametrize("side, rows_with_duplicates", [(2, 4), (3, 0), (4, 0), (9, 0)])
+    def test_only_side_two_has_duplicate_slots(self, side, rows_with_duplicates):
+        lat = build_lattice(side)
+        assert sum(len(set(row.tolist())) < 4 for row in lat.nbrs) == rows_with_duplicates
 
     def test_adjacency_symmetric(self):
         lat = build_lattice(7)
@@ -122,18 +125,18 @@ class TestRandomRegular:
 class TestMultiplex:
     def test_neighbor_lists_have_layer_degree(self):
         g = MultiplexGraph(build_lattice(10), build_rrg(100, 4, stream(2, 0)))
-        assert len(neighbors(g, "a", 42)) == 4
-        assert len(neighbors(g, "b", 42)) == 4
+        assert len(g.layer_a.nbrs[42]) == 4
+        assert len(g.layer_b.nbrs[42]) == 4
 
     def test_single_layer_mode_shares_adjacency(self):
         lat = build_lattice(10)
         g = MultiplexGraph(lat, lat)
-        assert neighbors(g, "a", 5) == neighbors(g, "b", 5)
+        assert g.layer_a.nbrs[5].tolist() == g.layer_b.nbrs[5].tolist()
 
     def test_out_of_range_node_rejected(self):
         lat = build_lattice(4)
         with pytest.raises(IndexError):
-            neighbors(MultiplexGraph(lat, lat), "a", 16)
+            MultiplexGraph(lat, lat).layer_a.nbrs[16]
 
     def test_mismatched_layers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -150,3 +153,12 @@ class TestEdgelistDump:
         assert len(lines) - 1 == 32  # 2n undirected edges on a 4-regular lattice
         u, v = lines[1].split()
         assert int(u) <= int(v)
+        assert len(set(lines[1:])) == 32  # a simple layer lists each edge once
+
+    def test_side_two_lists_each_edge_once_per_slot(self):
+        buf = io.StringIO()
+        write_edgelist(build_lattice(2), "A", buf)
+        lines = buf.getvalue().strip().split("\n")[1:]
+        assert len(lines) == 8
+        assert sorted(set(lines)) == ["0 1", "0 2", "1 3", "2 3"]
+        assert all(lines.count(line) == 2 for line in lines)

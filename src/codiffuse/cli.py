@@ -6,7 +6,7 @@
 
 Each command accepts only the flags it reads. Exit codes: 0 success, 2
 configuration error, 3 runtime error. Progress goes to stderr; data goes to
-files under --out. The worker count is --workers, else the cpu count.
+files under --out. The worker count is --workers, else the usable cpu count.
 """
 
 from __future__ import annotations
@@ -15,12 +15,12 @@ import argparse
 import os
 import sys
 
-from .config import (SweepSpec, load_spec, run_config_for, single_parameter_set,
-                     spec_from_dict, spec_to_dict)
-from .engine import ITERATION_STREAM, iteration_graph, stream
+from .config import (SweepSpec, load_spec, nonempty_parameter_sets, run_config_for,
+                     single_parameter_set, spec_from_dict, spec_to_dict)
+from .engine import iteration_graph, iteration_stream
 from .errors import AnalysisError, ConfigurationError, GraphGenerationError, IntegrationError
 from .meanfield import MeanFieldParams, MeanFieldState, integrate, write_trajectory
-from .sweep import analyze, run_single, sweep
+from .sweep import analyze, run_single, sweep, usable_cpus
 from .topology import write_edgelist
 
 
@@ -32,17 +32,19 @@ def _build_parser() -> argparse.ArgumentParser:
     spec.add_argument("--config", help="JSON config file (defaults apply when omitted)")
     spec.add_argument("--seed", type=int, help="override the master seed")
     workers = argparse.ArgumentParser(add_help=False)
-    workers.add_argument("--workers", type=int, help="worker process count (default: cpu count)")
+    workers.add_argument("--workers", type=int, help="worker count (default: usable cpus)")
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default="results", help="output directory (default: results)")
-    for name, parents, helptext in (
-        ("run", (spec, workers, out), "one parameter set, full per-iteration series"),
-        ("sweep", (spec, workers, out), "the whole parameter cube"),
-        ("analyze", (out,), "recompute statistics from a sweep's stored series"),
-        ("meanfield", (spec, out), "well-mixed ODE trajectory for one parameter set"),
-        ("graph-dump", (spec, out), "write both layers as edge lists"),
+    for name, parents, handler, helptext in (
+        ("run", (spec, workers, out), _cmd_simulate,
+         "one parameter set, full per-iteration series"),
+        ("sweep", (spec, workers, out), _cmd_simulate, "the whole parameter cube"),
+        ("analyze", (out,), _cmd_analyze, "recompute statistics from a sweep's stored series"),
+        ("meanfield", (spec, out), _cmd_meanfield,
+         "well-mixed ODE trajectory for one parameter set"),
+        ("graph-dump", (spec, out), _cmd_graph_dump, "write both layers as edge lists"),
     ):
-        sub.add_parser(name, parents=parents, help=helptext)
+        sub.add_parser(name, parents=parents, help=helptext).set_defaults(handler=handler)
     return parser
 
 
@@ -54,7 +56,7 @@ def _load(args: argparse.Namespace) -> SweepSpec:
 
 
 def _workers(args: argparse.Namespace) -> int:
-    value = (os.cpu_count() or 1) if args.workers is None else args.workers
+    value = usable_cpus() if args.workers is None else args.workers
     if value < 1:
         raise ConfigurationError(f"worker count must be >= 1, got {value}")
     return value
@@ -93,9 +95,9 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
 
 def _cmd_graph_dump(args: argparse.Namespace) -> int:
     spec = _load(args)
-    cfg = run_config_for(spec, 0, spec.alphas[0], spec.tau_a[0], spec.tau_b[0])
-    # The graph iteration 0 of parameter set 0 steps on.
-    graph = iteration_graph(cfg, 0, stream(cfg.master_seed, 0, ITERATION_STREAM, 0))
+    cfg = run_config_for(spec, *nonempty_parameter_sets(spec)[0])
+    # The graph iteration 0 of the first parameter set steps on.
+    graph = iteration_graph(cfg, iteration_stream(cfg, 0))
     os.makedirs(args.out, exist_ok=True)
     for layer, label in ((graph.layer_a, "A"), (graph.layer_b, "B")):
         path = os.path.join(args.out, f"layer_{label}.edgelist")
@@ -105,19 +107,10 @@ def _cmd_graph_dump(args: argparse.Namespace) -> int:
     return 0
 
 
-_COMMANDS = {
-    "run": _cmd_simulate,
-    "sweep": _cmd_simulate,
-    "analyze": _cmd_analyze,
-    "meanfield": _cmd_meanfield,
-    "graph-dump": _cmd_graph_dump,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -169,7 +169,7 @@ def load_spec(path: str) -> SweepSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
     return spec_from_dict(raw)
 
@@ -188,6 +188,13 @@ def enumerate_parameter_sets(spec: SweepSpec) -> list[tuple[int, float, float, f
                     continue
                 triples.append((alpha, ta, tb))
     return [(i, a, ta, tb) for i, (a, ta, tb) in enumerate(triples)]
+
+
+def nonempty_parameter_sets(spec: SweepSpec) -> list[tuple[int, float, float, float]]:
+    """The enumerated sets of a command that runs or dumps them; none is an error."""
+    sets = enumerate_parameter_sets(spec)
+    _require(bool(sets), "parameter cube is empty (constraint filtered everything)")
+    return sets
 
 
 def single_parameter_set(spec: SweepSpec, command: str) -> tuple[int, float, float, float]:

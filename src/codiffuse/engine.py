@@ -262,47 +262,37 @@ def step(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
                            adoption_u, choice_u, dorm_u)
 
 
-def build_graph(config: RunConfig, rng: np.random.Generator,
-                stream_label: str | None = None) -> MultiplexGraph:
-    """Lattice layer plus, in multiplex mode, a freshly sampled RRG layer."""
+def iteration_stream(config: RunConfig, iteration: int) -> np.random.Generator:
+    """One iteration's random stream, drawn in a fixed order: the RRG pairing
+    (multiplex mode, RRG not frozen), the seed picks, the quenched draws if any,
+    then per step the adoption, choice and dormancy uniforms."""
+    return stream(config.master_seed, config.param_index, ITERATION_STREAM, iteration)
+
+
+def iteration_graph(config: RunConfig, rng: np.random.Generator | None) -> MultiplexGraph:
+    """Lattice layer plus, in multiplex mode, an RRG layer paired from `rng`, the
+    iteration's stream. A frozen set pairs its one RRG from its own graph stream
+    instead, so any iteration (or `rng=None`) gets the same graph."""
     lattice = build_lattice(config.side)
     if config.graph_mode == "single":
         return MultiplexGraph(layer_a=lattice, layer_b=lattice)
-    rrg = build_rrg(lattice.n, config.degree, rng, stream_label=stream_label)
-    return MultiplexGraph(layer_a=lattice, layer_b=rrg)
-
-
-def frozen_graph(config: RunConfig) -> MultiplexGraph:
-    """The one shared graph of a frozen-topology parameter set (own stream address)."""
-    rng = stream(config.master_seed, config.param_index, GRAPH_STREAM, 0)
-    label = f"({config.master_seed},{config.param_index},graph)"
-    return build_graph(config, rng, stream_label=label)
-
-
-def iteration_graph(config: RunConfig, iteration: int,
-                    rng: np.random.Generator) -> MultiplexGraph:
-    """The graph iteration `iteration` steps on. `rng` is that iteration's stream;
-    a non-frozen multiplex graph takes its RRG pairing from it, first."""
     if config.freeze_rrg:
-        return frozen_graph(config)
-    label = f"({config.master_seed},{config.param_index},{iteration})"
-    return build_graph(config, rng, stream_label=label)
+        rng = stream(config.master_seed, config.param_index, GRAPH_STREAM, 0)
+    return MultiplexGraph(layer_a=lattice, layer_b=build_rrg(lattice.n, config.degree, rng))
 
 
 def run(config: RunConfig, iteration: int = 0,
         graph: MultiplexGraph | None = None) -> CountsSeries:
     """One realization: (re)sample graph, seed, step until absorption or
-    `config.steps`, count.
+    `config.steps`, count, all from `iteration_stream`.
 
-    Draw order within the iteration stream is fixed (graph pairing, seed picks,
-    quenched draws if any, then per step: adoption/choice/dormancy uniforms), so
-    a (config, iteration) pair maps to exactly one series. Absorption is tested
-    only after a step that left the count row unchanged: an absorbed population
-    produces such a step, so busy steps pay nothing for the test.
+    Absorption is tested only after a step that left the count row unchanged:
+    an absorbed population produces such a step, so busy steps pay nothing for
+    the test.
     """
-    rng = stream(config.master_seed, config.param_index, ITERATION_STREAM, iteration)
+    rng = iteration_stream(config, iteration)
     if graph is None:
-        graph = iteration_graph(config, iteration, rng)
+        graph = iteration_graph(config, rng)
     states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
     quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
 
@@ -332,7 +322,7 @@ def run_ensemble(config: RunConfig, iterations: int | range) -> EnsembleResult:
     indices = iterations if isinstance(iterations, range) else range(iterations)
     if len(indices) < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    graph = frozen_graph(config) if config.freeze_rrg else None
+    graph = iteration_graph(config, None) if config.freeze_rrg else None
     series = [run(config, i, graph=graph) for i in indices]
     counts = np.stack([cs.counts for cs in series])
     absorbed_at = np.array([cs.absorbed_at for cs in series], dtype=np.int64)

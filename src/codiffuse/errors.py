@@ -10,7 +10,9 @@ class GraphGenerationError(RuntimeError):
 
 
 class AnalysisError(ValueError):
-    """Statistic undefined for the given input (series too short, too few samples)."""
+    """Statistic undefined for the given input (series too short, too few samples),
+    or `analyze` refusing its inputs: a malformed manifest.json, or a series it
+    lists that is missing, unlisted or changed."""
 
 
 class IntegrationError(RuntimeError):

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import CATEGORIES, ensemble_stats, iteration_ceilings, kde
-from .config import (SweepSpec, enumerate_parameter_sets, run_config_for,
+from .config import (SweepSpec, nonempty_parameter_sets, run_config_for,
                      single_parameter_set, spec_to_dict)
 from .engine import EnsembleResult, run_ensemble
 from .errors import AnalysisError, ConfigurationError
@@ -66,10 +66,7 @@ def write_series_csv(path: str, counts: np.ndarray) -> None:
 
 def read_series_csv(path: str) -> np.ndarray:
     """Value columns of a series or ceilings CSV (header and index column dropped)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        next(fh)
-        rows = [[float(x) for x in line.strip().split(",")[1:]] for line in fh if line.strip()]
-    return np.array(rows)
+    return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
 
 
 def write_ceilings_csv(path: str, ceilings: np.ndarray) -> None:
@@ -133,6 +130,14 @@ def _absorption(absorbed_at: np.ndarray) -> dict:
             "max": int(absorbed_at.max())}
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: the default worker count and the pool cap."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
 def _sweep_task(spec: SweepSpec, index: int, alpha: float, tau_a: float,
                 tau_b: float, iterations: range) -> EnsembleResult:
     """Counts and absorption steps of one set's iterations `iterations`."""
@@ -193,9 +198,10 @@ def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
     or the exception that failed it, in this process as it arrives.
 
     One worker computes in this process, where a tracer or profiler sees it;
-    more share one pool. A finished future leaves `futures` before `collect`
-    sees its result, so no result outlives its `collect` call here. When
-    `collect` raises, units not yet started are cancelled.
+    more share one pool of at most `usable_cpus()` processes. A finished future
+    leaves `futures` before `collect` sees its result, so no result outlives
+    its `collect` call here. When `collect` raises, units not yet started are
+    cancelled.
     """
     if workers <= 1:
         for unit in units:
@@ -205,7 +211,7 @@ def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
                 result = exc
             collect(unit, result)
         return
-    pool = cf.ProcessPoolExecutor(max_workers=min(workers, len(units)))
+    pool = cf.ProcessPoolExecutor(max_workers=min(workers, len(units), usable_cpus()))
     try:
         futures = {pool.submit(_sweep_task, spec, *s, its): (s, its) for s, its in units}
         for fut in cf.as_completed(futures):
@@ -277,10 +283,7 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
 
 def sweep(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
     """Run the whole parameter cube; returns the manifest dict."""
-    sets = enumerate_parameter_sets(spec)
-    if not sets:
-        raise ConfigurationError("parameter cube is empty (constraint filtered everything)")
-    return _simulate(spec, out_dir, workers, "sweep", sets)
+    return _simulate(spec, out_dir, workers, "sweep", nonempty_parameter_sets(spec))
 
 
 def run_single(spec: SweepSpec, out_dir: str, workers: int = 1) -> dict:
@@ -304,10 +307,14 @@ def analyze(out_dir: str) -> None:
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(manifest_path):
         raise ConfigurationError(f"no manifest.json under {out_dir}")
-    with open(manifest_path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
-    sets = [(e["index"], e["alpha"], e["tau_a"], e["tau_b"]) for e in manifest["parameter_sets"]]
-    listed = manifest["files"]
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        sets = [(e["index"], e["alpha"], e["tau_a"], e["tau_b"])
+                for e in manifest["parameter_sets"]]
+        listed = manifest["files"]
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, not an object, a key missing
+        raise AnalysisError(f"malformed manifest.json: {type(exc).__name__}: {exc}") from exc
     inputs = []
     for i, alpha, ta, tb in sets:
         tag = set_tag(i, alpha, ta, tb)

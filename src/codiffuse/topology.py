@@ -74,8 +74,7 @@ def build_lattice(side: int) -> Layer:
     return Layer(kind=f"lattice(side={side})", nbrs=nbrs)
 
 
-def build_rrg(n: int, degree: int, rng: np.random.Generator,
-              stream_label: str | None = None) -> Layer:
+def build_rrg(n: int, degree: int, rng: np.random.Generator) -> Layer:
     """Sample a simple d-regular graph by stub pairing with full restart.
 
     Every restart re-shuffles all n*degree stubs and rejects the whole pairing
@@ -101,9 +100,8 @@ def build_rrg(n: int, degree: int, rng: np.random.Generator,
         order = np.argsort(src, kind="stable")
         nbrs = np.asfortranarray(dst[order].reshape(n, degree).astype(np.int32))
         return Layer(kind=f"rrg(degree={degree})", nbrs=nbrs)
-    label = f", stream={stream_label}" if stream_label else ""
     raise GraphGenerationError(
-        f"stub pairing failed {RRG_RESTART_BUDGET} times (n={n}, degree={degree}{label})"
+        f"stub pairing failed {RRG_RESTART_BUDGET} times (n={n}, degree={degree})"
     )
 
 

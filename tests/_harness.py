@@ -18,8 +18,8 @@ import numpy as np
 
 from codiffuse.config import spec_from_dict
 from codiffuse.engine import (
-    ITERATION_STREAM,
     iteration_graph,
+    iteration_stream,
     seed_population,
     step,
     step_with_draws,
@@ -130,8 +130,8 @@ def reference_step(graph: MultiplexGraph, states, active, kernel, dormancy,
 def full_horizon_run(config, iteration: int) -> np.ndarray:
     """`engine.run`'s counts without the absorption stop: the same stream address
     and draw order, then `step` for every one of `config.steps` steps."""
-    rng = stream(config.master_seed, config.param_index, ITERATION_STREAM, iteration)
-    graph = iteration_graph(config, iteration, rng)
+    rng = iteration_stream(config, iteration)
+    graph = iteration_graph(config, rng)
     states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
     quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
     counts = np.empty((config.steps, 4), dtype=np.int64)

@@ -175,7 +175,7 @@ def test_criterion_08_engine_invariants_under_fuzzing():
                             STATE_B: {STATE_B}, STATE_AB: {STATE_AB}}
     violations = 0
     master = stream(707, 0)
-    from codiffuse.engine import build_graph
+    from codiffuse.engine import iteration_graph
 
     for case in range(10_000):
         rng = stream(707, 1, case)
@@ -192,7 +192,7 @@ def test_criterion_08_engine_invariants_under_fuzzing():
                         degree=int(rng.choice([2, 4])),
                         graph_mode="single" if rng.random() < 0.2 else "multiplex",
                         steps=int(rng.integers(3, 16)), master_seed=int(rng.integers(1 << 30)))
-        graph = build_graph(cfg, rng)
+        graph = iteration_graph(cfg, rng)
         states, active = seed_population(graph.n, rng)
         quenched = rng.random(graph.n) if thresholds == QUENCHED else None
         allowed = legal_next if mode == INCLUSIVE else legal_next_exclusive

@@ -5,8 +5,8 @@ import pytest
 
 from codiffuse.engine import (
     RunConfig,
-    build_graph,
-    frozen_graph,
+    iteration_graph,
+    iteration_stream,
     run,
     run_ensemble,
     seed_population,
@@ -218,13 +218,13 @@ class TestRun:
 
     def test_single_layer_mode_shares_lattice(self):
         cfg = small_config(graph_mode="single")
-        g = build_graph(cfg, stream(1, 2, 3))
+        g = iteration_graph(cfg, stream(1, 2, 3))
         assert g.layer_b is g.layer_a
 
     def test_frozen_rrg_is_stable_across_iterations(self):
         cfg = small_config(freeze_rrg=True)
-        g1 = frozen_graph(cfg)
-        g2 = frozen_graph(cfg)
+        g1 = iteration_graph(cfg, iteration_stream(cfg, 0))
+        g2 = iteration_graph(cfg, iteration_stream(cfg, 1))
         np.testing.assert_array_equal(g1.layer_b.nbrs, g2.layer_b.nbrs)
 
 

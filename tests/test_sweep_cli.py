@@ -4,10 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from codiffuse.cli import main
 from codiffuse.config import spec_from_dict
@@ -121,6 +125,15 @@ class TestSweepOutputs:
             assert fh.read() == "iteration,naive,a,b,ab\n0,0.1,0.3333333333333333,2.5,6400.0\n"
         np.testing.assert_array_equal(read_ceilings_csv(path), floats)
 
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(table=hnp.arrays(np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                            elements=st.floats(allow_nan=False, allow_infinity=False)))
+    def test_any_float_table_round_trips_exactly(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.csv")
+            write_ceilings_csv(path, table)
+            np.testing.assert_array_equal(read_ceilings_csv(path), table)
+
     @pytest.mark.parametrize("entry, overrides", [
         (sweep, {}),
         (run_single, {"alpha": [0.9], "tau_a": [0.05]}),
@@ -154,6 +167,38 @@ class TestSweepOutputs:
         assert len(collected) == len(units)
         # a unit's counts are gone before the next unit reaches `collect`
         assert alive_at_collect == [0] * len(units)
+
+    def test_pool_is_capped_at_the_usable_cpus(self, tmp_path, monkeypatch):
+        import argparse
+        import concurrent.futures as cf
+
+        import codiffuse.cli as cli_mod
+
+        requested = []
+
+        class InProcessPool:
+            """Records its size and runs each task at submit; starts no process."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def submit(self, fn, *args):
+                fut = cf.Future()
+                fut.set_result(fn(*args))
+                return fut
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(cf, "ProcessPoolExecutor", InProcessPool)
+        spec = spec_from_dict(TINY)
+        sweep(spec, str(tmp_path / "many"), workers=10_000)
+        # 4 sets x 3 iterations are 12 units, but only 2 CPUs are usable.
+        assert requested == [2]
+        sweep(spec, str(tmp_path / "one"), workers=1)
+        assert tree_bytes(tmp_path / "many", ".csv") == tree_bytes(tmp_path / "one", ".csv")
+        assert cli_mod._workers(argparse.Namespace(workers=None)) == 2
 
     def test_failed_parameter_set_is_isolated(self, tmp_path, monkeypatch):
         import codiffuse.sweep as sweep_mod
@@ -416,6 +461,34 @@ class TestCli:
         assert main(["analyze", "--out", str(out)]) == 3
         assert f"{ceil.name} is listed in manifest.json but missing" in capsys.readouterr().err
         assert {**tree_bytes(out, "heatmap.csv"), **tree_bytes(out / "modality", ".json")} == before
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        "[1, 2]",
+        json.dumps({"parameter_sets": []}),
+        json.dumps({"files": {}, "parameter_sets": [{"index": 0, "tau_a": 0.0, "tau_b": 0.0}]}),
+    ], ids=["not-json", "not-an-object", "no-files", "set-without-alpha"])
+    def test_analyze_refuses_a_malformed_manifest(self, tmp_path, capsys, text):
+        (tmp_path / "manifest.json").write_text(text)
+        assert main(["analyze", "--out", str(tmp_path)]) == 3
+        assert "malformed manifest.json" in capsys.readouterr().err
+        assert os.listdir(tmp_path) == ["manifest.json"]
+
+    def test_config_that_is_not_utf8_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"seed": 5, "alpha": [0.5\xff]}')
+        assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "malformed config" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_graph_dump_of_an_empty_cube_exits_two(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tau_a": [0.0], "tau_b": [0.0], "graph": {"side": 6},
+                                   "enforce_tau_b_lt_tau_a": True}))
+        out = tmp_path / "g"
+        assert main(["graph-dump", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "parameter cube is empty" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_analyze_without_manifest_exits_two(self, tmp_path):
         proc = cli("analyze", "--out", str(tmp_path))

@@ -117,9 +117,9 @@ class TestRandomRegular:
 
     def test_restart_budget_reported(self):
         # degree n-1 forces the complete graph; random pairings almost never
-        # produce it, so the budget trips and the message carries the label.
-        with pytest.raises(GraphGenerationError, match="stream=oracle"):
-            build_rrg(12, 11, stream(1, 9), stream_label="oracle")
+        # produce it, so the budget trips and the message names the graph.
+        with pytest.raises(GraphGenerationError, match="n=12, degree=11"):
+            build_rrg(12, 11, stream(1, 9))
 
 
 class TestMultiplex:

@@ -1,11 +1,12 @@
 """Command line front end.
 
-    codiffuse run|sweep [--config PATH] [--seed N] [--workers N] [--out DIR]
-    codiffuse meanfield|graph-dump [--config PATH] [--seed N] [--out DIR]
+    codiffuse run|sweep [--config PATH] [--workers N] [--out DIR]
+    codiffuse meanfield|graph-dump [--config PATH] [--out DIR]
     codiffuse analyze [--out DIR]
 
-Each command accepts only the flags it reads. Exit codes: 0 success, 2
-configuration error, 3 runtime error. Progress goes to stderr; data goes to
+Each command accepts only the flags it reads. Every output-determining
+setting, the seed included, comes from the config file. Exit codes: 0 success,
+2 configuration error, 3 runtime error. Progress goes to stderr; data goes to
 files under --out. The worker count is --workers, else the usable cpu count.
 """
 
@@ -16,7 +17,7 @@ import os
 import sys
 
 from .config import (SweepSpec, load_spec, nonempty_parameter_sets, run_config_for,
-                     single_parameter_set, spec_from_dict, spec_to_dict)
+                     single_parameter_set)
 from .engine import iteration_graph, iteration_stream
 from .errors import AnalysisError, ConfigurationError, GraphGenerationError, IntegrationError
 from .meanfield import MeanFieldParams, MeanFieldState, integrate, write_trajectory
@@ -30,7 +31,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     spec = argparse.ArgumentParser(add_help=False)
     spec.add_argument("--config", help="JSON config file (defaults apply when omitted)")
-    spec.add_argument("--seed", type=int, help="override the master seed")
     workers = argparse.ArgumentParser(add_help=False)
     workers.add_argument("--workers", type=int, help="worker count (default: usable cpus)")
     out = argparse.ArgumentParser(add_help=False)
@@ -49,10 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> SweepSpec:
-    spec = load_spec(args.config) if args.config else SweepSpec()
-    if args.seed is not None:
-        spec = spec_from_dict({**spec_to_dict(spec), "seed": args.seed})
-    return spec
+    return load_spec(args.config) if args.config else SweepSpec()
 
 
 def _workers(args: argparse.Namespace) -> int:

@@ -176,8 +176,7 @@ def _manifest_skeleton(spec: SweepSpec, command: str, workers: int,
         "workers": workers,
         "config": spec_to_dict(spec),
         "parameter_sets": [
-            {"index": i, "alpha": a, "tau_a": ta, "tau_b": tb, "stream_key": [spec.seed, i]}
-            for i, a, ta, tb in sets
+            {"index": i, "alpha": a, "tau_a": ta, "tau_b": tb} for i, a, ta, tb in sets
         ],
         "files": {},
         "failures": [],
@@ -230,7 +229,10 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
     A set's iterations are split into strided ranges only when workers
     outnumber sets. A set holds its counts only until it is written. A failed
     unit fails its set, which is recorded once under manifest["failures"] and
-    does not stop the others. Files are written by this process only.
+    does not stop the others. Files are written by this process only. Any
+    other exception, an interrupt included, aborts the command: the manifest
+    is still written, lists the files already on disk and records the abort
+    under one failure with index None, and the exception propagates.
     """
     _ensure_dirs(out_dir, (SERIES_DIR, CEILINGS_DIR, MODALITY_DIR))
     manifest = _manifest_skeleton(spec, command, workers, sets)
@@ -272,9 +274,9 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
         _run_units(spec, units, workers, collect)
         write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), sets, stats)
         files.append("heatmap.csv")
-    except OSError as exc:
-        # Abort, but leave a manifest covering whatever reached disk.
-        manifest["failures"].append({"index": None, "error": f"io: {exc}"})
+    except BaseException as exc:
+        manifest["failures"].append(
+            {"index": None, "error": f"aborted: {type(exc).__name__}: {exc}"})
         _finalize_manifest(out_dir, manifest, files)
         raise
     _finalize_manifest(out_dir, manifest, files)
@@ -312,12 +314,14 @@ def analyze(out_dir: str) -> None:
             manifest = json.load(fh)
         sets = [(e["index"], e["alpha"], e["tau_a"], e["tau_b"])
                 for e in manifest["parameter_sets"]]
+        tags = [set_tag(*s) for s in sets]
         listed = manifest["files"]
-    except (ValueError, KeyError, TypeError) as exc:  # not JSON, not an object, a key missing
+        if not isinstance(listed, dict):
+            raise TypeError(f"files is a {type(listed).__name__}, not an object")
+    except (ValueError, KeyError, TypeError) as exc:  # not JSON, a key missing or mistyped
         raise AnalysisError(f"malformed manifest.json: {type(exc).__name__}: {exc}") from exc
     inputs = []
-    for i, alpha, ta, tb in sets:
-        tag = set_tag(i, alpha, ta, tb)
+    for (i, *_), tag in zip(sets, tags):
         rels = (os.path.join(SERIES_DIR, f"{tag}_mean.csv"), os.path.join(CEILINGS_DIR, f"{tag}.csv"))
         paths = [os.path.join(out_dir, rel) for rel in rels]
         if any(rel not in listed and not os.path.exists(path) for rel, path in zip(rels, paths)):

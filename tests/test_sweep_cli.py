@@ -225,6 +225,36 @@ class TestSweepOutputs:
         assert tree_bytes(out, "heatmap.csv") == heat
 
 
+    @pytest.mark.parametrize("abort", [OSError, KeyboardInterrupt])
+    def test_aborted_sweep_keeps_a_manifest_of_what_reached_disk(self, tmp_path, monkeypatch,
+                                                                  abort):
+        import codiffuse.sweep as sweep_mod
+
+        real_emit = sweep_mod._emit_set
+        calls = []
+
+        def emit_two_sets(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise abort("stop")
+            return real_emit(*args)
+
+        monkeypatch.setattr(sweep_mod, "_emit_set", emit_two_sets)
+        out = tmp_path / "out"
+        with pytest.raises(abort):
+            sweep(spec_from_dict(TINY), str(out), workers=1)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["failures"] == [{"index": None, "error": f"aborted: {abort.__name__}: stop"}]
+        on_disk = {rel: hashlib.sha256(data).hexdigest()
+                   for rel, data in tree_bytes(out, "").items() if rel != "manifest.json"}
+        assert len(on_disk) == 8  # mean series, ceilings and two modality reports per set
+        assert {os.path.basename(rel)[:7] for rel in on_disk} == {"set0000", "set0001"}
+        assert manifest["files"] == on_disk
+        analyze(str(out))
+        with open(out / "heatmap.csv") as fh:
+            assert len(fh.read().strip().split("\n")) - 1 == 2 * 12
+
+
 class TestAbsorptionSummary:
     def test_sweep_records_absorption_per_set(self, tmp_path, capsys):
         spec = spec_from_dict(TINY)
@@ -312,18 +342,10 @@ class TestCli:
         assert (out / "manifest.json").exists()
         assert (out / "heatmap.csv").exists()
 
-    def test_seed_flag_overrides_config(self, tmp_path):
+    def test_negative_seed_exits_two(self, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
-                                   "iterations": 1, "steps": 10, "graph": {"side": 6},
-                                   "seed": 5}))
-        out = tmp_path / "results"
-        cli("run", "--config", str(cfg), "--out", str(out), "--seed", "77", "--workers", "1")
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["seed"] == 77
-
-    def test_negative_seed_flag_exits_two(self, tmp_path):
-        proc = cli("graph-dump", "--seed", "-1", "--out", str(tmp_path / "g"))
+        cfg.write_text(json.dumps({"seed": -1}))
+        proc = cli("graph-dump", "--config", str(cfg), "--out", str(tmp_path / "g"))
         assert proc.returncode == 2
         assert "seed must be >= 0, got -1" in proc.stderr
         assert not (tmp_path / "g").exists()
@@ -467,7 +489,12 @@ class TestCli:
         "[1, 2]",
         json.dumps({"parameter_sets": []}),
         json.dumps({"files": {}, "parameter_sets": [{"index": 0, "tau_a": 0.0, "tau_b": 0.0}]}),
-    ], ids=["not-json", "not-an-object", "no-files", "set-without-alpha"])
+        json.dumps({"files": {}, "parameter_sets": [{"index": 0, "alpha": "x", "tau_a": 0,
+                                                     "tau_b": 0}]}),
+        json.dumps({"files": ["a"], "parameter_sets": [{"index": 0, "alpha": 0.5, "tau_a": 0.0,
+                                                        "tau_b": 0.0}]}),
+    ], ids=["not-json", "not-an-object", "no-files", "set-without-alpha", "alpha-not-a-number",
+            "files-not-an-object"])
     def test_analyze_refuses_a_malformed_manifest(self, tmp_path, capsys, text):
         (tmp_path / "manifest.json").write_text(text)
         assert main(["analyze", "--out", str(tmp_path)]) == 3
@@ -500,6 +527,7 @@ class TestCli:
         ("graph-dump", "--workers", "2"),
         ("analyze", "--config", "nope.json"),
         ("analyze", "--seed", "3"),
+        ("graph-dump", "--seed", "3"),
     ])
     def test_flag_the_command_does_not_read_exits_two(self, tmp_path, command, flag, value):
         proc = cli(command, flag, value, "--out", str(tmp_path / "o"))

@@ -20,9 +20,9 @@ from .config import (SweepSpec, load_spec, nonempty_parameter_sets, run_config_f
                      single_parameter_set)
 from .engine import iteration_graph, iteration_stream
 from .errors import AnalysisError, ConfigurationError, GraphGenerationError, IntegrationError
-from .meanfield import MeanFieldParams, MeanFieldState, integrate, write_trajectory
-from .sweep import analyze, run_single, sweep, usable_cpus
-from .topology import write_edgelist
+from .meanfield import MeanFieldParams, MeanFieldState, integrate, trajectory_csv
+from .sweep import analyze, run_single, sweep, usable_cpus, write_text
+from .topology import edgelist
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -84,8 +84,7 @@ def _cmd_meanfield(args: argparse.Namespace) -> int:
     traj = integrate(initial, params)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "meanfield.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_trajectory(traj, fh)
+    write_text(path, trajectory_csv(traj))
     print(f"wrote {path} (kappa={params.kappa} carried, unused)", file=sys.stderr)
     return 0
 
@@ -98,8 +97,7 @@ def _cmd_graph_dump(args: argparse.Namespace) -> int:
     os.makedirs(args.out, exist_ok=True)
     for layer, label in ((graph.layer_a, "A"), (graph.layer_b, "B")):
         path = os.path.join(args.out, f"layer_{label}.edgelist")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            write_edgelist(layer, label, fh)
+        write_text(path, edgelist(layer, label))
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

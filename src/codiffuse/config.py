@@ -8,6 +8,7 @@ alpha grid 0.0..1.3 step 0.1 and tau grids 0.00..0.10 step 0.01.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 
 from .analysis import MIN_CEILING_STEPS
@@ -36,6 +37,7 @@ def _check_keys(d: dict, allowed: set[str], path: str):
 def _number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{path} must be a number, got {value!r}")
+    _require(math.isfinite(value), f"{path} must be a finite number, got {value}")
     return float(value)
 
 

@@ -118,8 +118,8 @@ def integrate(initial: MeanFieldState, params: MeanFieldParams) -> Trajectory:
     return Trajectory(times=times, states=out)
 
 
-def write_trajectory(traj: Trajectory, fh) -> None:
-    """CSV dump: t,x_a,x_b,x_ab,x_naive,x_r."""
-    fh.write("t," + ",".join(COMPONENTS) + "\n")
-    for t, row in zip(traj.times, traj.states):
-        fh.write(f"{t:.6f}," + ",".join(f"{x:.9f}" for x in row) + "\n")
+def trajectory_csv(traj: Trajectory) -> str:
+    """CSV text: t,x_a,x_b,x_ab,x_naive,x_r."""
+    rows = (f"{t:.6f}," + ",".join(f"{x:.9f}" for x in row) + "\n"
+            for t, row in zip(traj.times, traj.states))
+    return "t," + ",".join(COMPONENTS) + "\n" + "".join(rows)

@@ -7,10 +7,10 @@ worker, over one process pool for more, splitting a set's iterations only when
 workers outnumber sets. This process writes each set as soon as its last unit
 arrives: the ensemble-mean time series (series/), the per-iteration ceilings
 (ceilings/) and KDE modality reports for the two contagions (modality/); at the
-end, heatmap.csv and a manifest.json with a content hash for every emitted
-file. Every iteration has its own random stream, so all emitted bytes are a
-pure function of the resolved config, identical at any worker count. `analyze`
-refuses inputs whose bytes do not match the manifest.
+end, heatmap.csv and a manifest.json with the sha256 of every emitted file,
+each written whole by `write_text`. Every iteration has its own random stream,
+so all emitted bytes are a pure function of the resolved config, identical at
+any worker count. `analyze` refuses inputs whose bytes do not match the manifest.
 """
 
 from __future__ import annotations
@@ -47,21 +47,35 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
-def _write_table(path: str, header: str, table: np.ndarray) -> None:
+def write_text(path: str, text: str) -> str:
+    """Write `text` as UTF-8 to `<path>.tmp`, then rename it over `path`, so
+    `path` holds its old bytes or all the new ones, never a part (no fsync: this
+    survives a dying process, not power loss). Returns the bytes' sha256."""
+    data = text.encode("utf-8")
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):  # the write or the rename failed
+            os.remove(tmp)
+    return hashlib.sha256(data).hexdigest()
+
+
+def _write_table(path: str, header: str, table: np.ndarray) -> str:
     """`header`, then one row per leading index: the index, then the row's values.
 
     Values go through `tolist()`, so ints print as ints and floats in shortest
     round-trip form: `analyze` re-reads the exact values the sweep computed.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(header + "\n")
-        for i, row in enumerate(table.tolist()):
-            fh.write(f"{i}," + ",".join(map(repr, row)) + "\n")
+    rows = (f"{i}," + ",".join(map(repr, row)) + "\n" for i, row in enumerate(table.tolist()))
+    return write_text(path, header + "\n" + "".join(rows))
 
 
-def write_series_csv(path: str, counts: np.ndarray) -> None:
+def write_series_csv(path: str, counts: np.ndarray) -> str:
     """`step,naive,a,b,ab` rows; columns are the exclusive state counts."""
-    _write_table(path, "step,naive,a,b,ab", counts)
+    return _write_table(path, "step,naive,a,b,ab", counts)
 
 
 def read_series_csv(path: str) -> np.ndarray:
@@ -69,37 +83,33 @@ def read_series_csv(path: str) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)[:, 1:]
 
 
-def write_ceilings_csv(path: str, ceilings: np.ndarray) -> None:
+def write_ceilings_csv(path: str, ceilings: np.ndarray) -> str:
     """Per-iteration ceilings; a and b count every adopter of that contagion."""
-    _write_table(path, "iteration,naive,a,b,ab", ceilings)
+    return _write_table(path, "iteration,naive,a,b,ab", ceilings)
 
 
 read_ceilings_csv = read_series_csv
 
 
 def write_heatmap_csv(path: str, sets: list[tuple[int, float, float, float]],
-                      stats: dict[int, list[tuple]]) -> None:
+                      stats: dict[int, list[tuple]]) -> str:
     """One row per (category, metric) of each set in `sets` order; a set without
     `stats` (failed or pruned) has no rows."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(HEATMAP_HEADER + "\n")
-        for i, alpha, tau_a, tau_b in sets:
-            for cat, metric, value in stats.get(i, ()):
-                fh.write(f"{alpha:g},{tau_a:g},{tau_b:g},{cat},{metric},{_fmt(value)}\n")
+    rows = (f"{alpha:g},{tau_a:g},{tau_b:g},{cat},{metric},{_fmt(value)}\n"
+            for i, alpha, tau_a, tau_b in sets for cat, metric, value in stats.get(i, ()))
+    return write_text(path, HEATMAP_HEADER + "\n" + "".join(rows))
 
 
-def _write_modality(out_dir: str, tag: str, ceilings: np.ndarray) -> list[str]:
-    """KDE reports for the contagion categories; skipped below 2 iterations."""
-    written = []
+def _write_modality(out_dir: str, tag: str, ceilings: np.ndarray) -> dict[str, str]:
+    """KDE reports for the contagion categories as {rel: sha256}; none below 2 iterations."""
+    written = {}
     if ceilings.shape[0] < 2:
         return written
     for cat in MODALITY_CATEGORIES:
         report = kde(ceilings[:, CATEGORIES.index(cat)])
         rel = os.path.join(MODALITY_DIR, f"{tag}_{cat}.json")
-        with open(os.path.join(out_dir, rel), "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(report.to_json_dict(), fh, sort_keys=True)
-            fh.write("\n")
-        written.append(rel)
+        written[rel] = write_text(os.path.join(out_dir, rel),
+                                  json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
     return written
 
 
@@ -145,23 +155,20 @@ def _sweep_task(spec: SweepSpec, index: int, alpha: float, tau_a: float,
 
 
 def _emit_set(out_dir: str, tag: str, ens: EnsembleResult, per_iteration: bool,
-              files: list[str]) -> list[tuple]:
-    """Write one set's files, appending each relative path to `files` once it is
-    on disk; returns the set's (category, metric, value) statistics."""
+              files: dict[str, str]) -> list[tuple]:
+    """Write one set's files, adding each to `files` as rel: sha256 once it is on
+    disk; returns the set's (category, metric, value) statistics."""
     if per_iteration:
         for it, counts in enumerate(ens.counts):
             rel = os.path.join(SERIES_DIR, f"{tag}_iter{it:03d}.csv")
-            write_series_csv(os.path.join(out_dir, rel), counts)
-            files.append(rel)
+            files[rel] = write_series_csv(os.path.join(out_dir, rel), counts)
     mean_counts = ens.mean
     ceilings = iteration_ceilings(ens.counts)
     rel = os.path.join(SERIES_DIR, f"{tag}_mean.csv")
-    write_series_csv(os.path.join(out_dir, rel), mean_counts)
-    files.append(rel)
+    files[rel] = write_series_csv(os.path.join(out_dir, rel), mean_counts)
     rel = os.path.join(CEILINGS_DIR, f"{tag}.csv")
-    write_ceilings_csv(os.path.join(out_dir, rel), ceilings)
-    files.append(rel)
-    files += _write_modality(out_dir, tag, ceilings)
+    files[rel] = write_ceilings_csv(os.path.join(out_dir, rel), ceilings)
+    files.update(_write_modality(out_dir, tag, ceilings))
     return ensemble_stats(mean_counts, ceilings)
 
 
@@ -183,13 +190,11 @@ def _manifest_skeleton(spec: SweepSpec, command: str, workers: int,
     }
 
 
-def _finalize_manifest(out_dir: str, manifest: dict, files: list[str]) -> None:
+def _finalize_manifest(out_dir: str, manifest: dict, files: dict[str, str]) -> None:
     manifest["finished_utc"] = _utc_now()
-    manifest["files"] = {rel: _sha256(os.path.join(out_dir, rel)) for rel in sorted(files)}
-    with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
-              newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    manifest["files"] = dict(sorted(files.items()))
+    write_text(os.path.join(out_dir, "manifest.json"),
+               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
@@ -229,10 +234,10 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
     A set's iterations are split into strided ranges only when workers
     outnumber sets. A set holds its counts only until it is written. A failed
     unit fails its set, which is recorded once under manifest["failures"] and
-    does not stop the others. Files are written by this process only. Any
+    does not stop the others. This process alone writes files, each whole. Any
     other exception, an interrupt included, aborts the command: the manifest
-    is still written, lists the files already on disk and records the abort
-    under one failure with index None, and the exception propagates.
+    is still written, lists exactly the files on disk with their hashes and
+    records the abort under one failure with index None; the exception propagates.
     """
     _ensure_dirs(out_dir, (SERIES_DIR, CEILINGS_DIR, MODALITY_DIR))
     manifest = _manifest_skeleton(spec, command, workers, sets)
@@ -240,7 +245,7 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
     units = [(s, range(k, spec.iterations, parts)) for s in sets for k in range(parts)]
     arrived: dict[int, list] = {}
     stats: dict[int, list[tuple]] = {}
-    files: list[str] = []
+    files: dict[str, str] = {}
     t0 = time.monotonic()
 
     def collect(unit, result) -> None:
@@ -272,8 +277,7 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
 
     try:
         _run_units(spec, units, workers, collect)
-        write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), sets, stats)
-        files.append("heatmap.csv")
+        files["heatmap.csv"] = write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), sets, stats)
     except BaseException as exc:
         manifest["failures"].append(
             {"index": None, "error": f"aborted: {type(exc).__name__}: {exc}"})

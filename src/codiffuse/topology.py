@@ -10,7 +10,6 @@ density denominator stays fixed). From side 3 up the four slots are distinct.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -105,12 +104,9 @@ def build_rrg(n: int, degree: int, rng: np.random.Generator) -> Layer:
     )
 
 
-def write_edgelist(layer: Layer, label: str, fh: TextIO) -> None:
-    """Dump one layer as `u v` lines, u <= v, one per neighbor slot of u, after a
+def edgelist(layer: Layer, label: str) -> str:
+    """One layer as `u v` lines, u <= v, one per neighbor slot of u, after a
     header line. A simple layer lists each undirected edge once; a side-2
     lattice's duplicate slots list each of its edges twice."""
-    fh.write(f"# layer={label} kind={layer.kind} n={layer.n}\n")
-    for i in range(layer.n):
-        for j in layer.nbrs[i]:
-            if i <= j:
-                fh.write(f"{i} {j}\n")
+    lines = (f"{i} {j}\n" for i in range(layer.n) for j in layer.nbrs[i] if i <= j)
+    return f"# layer={label} kind={layer.kind} n={layer.n}\n" + "".join(lines)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -106,6 +107,21 @@ class TestValidation:
     def test_parity_of_stub_count(self):
         with pytest.raises(ConfigurationError, match="even"):
             spec_from_dict({"graph": {"side": 3, "degree": 3}})
+
+    @pytest.mark.parametrize("literal, shown", [
+        ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+    @pytest.mark.parametrize("path, template", [
+        ("alpha[0]", '{"alpha": [X]}'),
+        ("kernel.k_a", '{"kernel": {"k_a": X}}'),
+        ("meanfield.h", '{"meanfield": {"h": X}}'),
+        ("meanfield.horizon", '{"meanfield": {"horizon": X}}'),
+    ])
+    def test_non_finite_json_number_rejected(self, tmp_path, path, template, literal, shown):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(template.replace("X", literal))
+        with pytest.raises(ConfigurationError,
+                           match=f"^{re.escape(path)} must be a finite number, got {shown}$"):
+            load_spec(str(cfg))
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "broken.json"

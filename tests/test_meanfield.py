@@ -11,7 +11,7 @@ from codiffuse.meanfield import (
     MeanFieldState,
     integrate,
     mf_rates,
-    write_trajectory,
+    trajectory_csv,
 )
 
 
@@ -114,6 +114,15 @@ class TestIntegrate:
         assert "reduce the step size" in capsys.readouterr().err
         assert not (out / "meanfield.csv").exists()
 
+    def test_infinite_horizon_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "mf.json"
+        cfg.write_text('{"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],'
+                       ' "meanfield": {"horizon": Infinity}}')
+        out = tmp_path / "mf"
+        assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "meanfield.horizon must be a finite number, got inf" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_step_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
             mfp(1.0, 0.0, 0.0, h=0.0)
@@ -122,12 +131,16 @@ class TestIntegrate:
 
 
 class TestTrajectoryCsv:
-    def test_header_and_row_count(self, tmp_path):
+    def test_header_and_row_count(self):
         params = mfp(1.0, 0.01, 0.02, h=0.5, horizon=5.0)
-        traj = integrate(seeded_state(), params)
-        path = tmp_path / "mf.csv"
-        with open(path, "w") as fh:
-            write_trajectory(traj, fh)
-        lines = path.read_text().strip().split("\n")
+        lines = trajectory_csv(integrate(seeded_state(), params)).strip().split("\n")
         assert lines[0] == "t,x_a,x_b,x_ab,x_naive,x_r"
         assert len(lines) - 1 == 11
+
+    def test_bytes(self):
+        params = mfp(1.0, 0.01, 0.02, h=0.5, horizon=1.0)
+        assert trajectory_csv(integrate(seeded_state(), params)) == (
+            "t,x_a,x_b,x_ab,x_naive,x_r\n"
+            "0.000000,0.000156250,0.000156250,0.000000000,0.999687500,0.000000000\n"
+            "0.500000,0.000199594,0.000198598,0.000000016,0.999599141,0.000002651\n"
+            "1.000000,0.000254954,0.000252417,0.000000041,0.999486562,0.000006026\n")

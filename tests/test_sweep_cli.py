@@ -1,5 +1,4 @@
 import hashlib
-import io
 import json
 import os
 import subprocess
@@ -24,6 +23,7 @@ from codiffuse.sweep import (
     sweep,
     write_ceilings_csv,
     write_series_csv,
+    write_text,
 )
 
 TINY = {
@@ -254,6 +254,60 @@ class TestSweepOutputs:
         with open(out / "heatmap.csv") as fh:
             assert len(fh.read().strip().split("\n")) - 1 == 2 * 12
 
+    def test_interrupt_while_formatting_a_file_leaves_no_part_of_it(self, tmp_path,
+                                                                    monkeypatch):
+        import codiffuse.sweep as sweep_mod
+
+        class Interrupting(np.ndarray):
+            def tolist(self):
+                raise KeyboardInterrupt("stop")
+
+        real_ceilings = sweep_mod.iteration_ceilings
+        calls = []
+
+        def ceilings_of_third_set_interrupt(counts):
+            calls.append(counts)
+            ceilings = real_ceilings(counts)
+            return ceilings.view(Interrupting) if len(calls) == 3 else ceilings
+
+        monkeypatch.setattr(sweep_mod, "iteration_ceilings", ceilings_of_third_set_interrupt)
+        spec = spec_from_dict({"alpha": [0.5, 1.0], "tau_a": [0.0], "tau_b": [0.0, 0.05],
+                               "iterations": 3, "steps": 20, "graph": {"side": 6}, "seed": 5})
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            sweep(spec, str(out), workers=1)
+        assert not (out / "ceilings" / "set0002_a1_ta0_tb0.csv").exists()
+        on_disk = {rel: hashlib.sha256(data).hexdigest()
+                   for rel, data in tree_bytes(out, "").items() if rel != "manifest.json"}
+        assert not [rel for rel in on_disk if rel.endswith(".tmp")]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["files"] == on_disk
+        analyze(str(out))
+        with open(out / "heatmap.csv") as fh:
+            assert len(fh.read().strip().split("\n")) - 1 == 2 * 12
+
+
+class TestWriteText:
+    def test_returns_the_sha256_of_the_bytes_on_disk(self, tmp_path):
+        path = tmp_path / "f.csv"
+        digest = write_text(str(path), "\u03b1,b\n1,2\n")
+        assert path.read_bytes() == "\u03b1,b\n1,2\n".encode("utf-8")
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert os.listdir(tmp_path) == ["f.csv"]
+
+    def test_failed_rename_keeps_the_old_bytes_and_no_tmp(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"old\n")
+
+        def failing_replace(src, dst):
+            raise OSError("no room")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="no room"):
+            write_text(str(path), "new\n")
+        assert path.read_bytes() == b"old\n"
+        assert os.listdir(tmp_path) == ["f.csv"]
+
 
 class TestAbsorptionSummary:
     def test_sweep_records_absorption_per_set(self, tmp_path, capsys):
@@ -382,7 +436,7 @@ class TestCli:
     def test_graph_dump_writes_the_graph_iteration_zero_steps_on(self, tmp_path, monkeypatch):
         import codiffuse.engine as engine
         from codiffuse.config import run_config_for
-        from codiffuse.topology import write_edgelist
+        from codiffuse.topology import edgelist
 
         raw = {"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0], "steps": 5,
                "graph": {"side": 6}, "seed": 12}
@@ -403,9 +457,7 @@ class TestCli:
         spec = spec_from_dict(raw)
         engine.run(run_config_for(spec, 0, 0.5, 0.0, 0.0), 0)
         for label, layer in (("A", stepped_on[0].layer_a), ("B", stepped_on[0].layer_b)):
-            buf = io.StringIO()
-            write_edgelist(layer, label, buf)
-            assert (out / f"layer_{label}.edgelist").read_text() == buf.getvalue()
+            assert (out / f"layer_{label}.edgelist").read_text() == edgelist(layer, label)
 
     def test_short_horizon_exits_two_before_any_output(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,7 @@ from codiffuse.topology import (
     MultiplexGraph,
     build_lattice,
     build_rrg,
-    write_edgelist,
+    edgelist,
 )
 
 
@@ -145,10 +143,7 @@ class TestMultiplex:
 
 class TestEdgelistDump:
     def test_header_and_edge_lines(self):
-        lat = build_lattice(4)
-        buf = io.StringIO()
-        write_edgelist(lat, "A", buf)
-        lines = buf.getvalue().strip().split("\n")
+        lines = edgelist(build_lattice(4), "A").strip().split("\n")
         assert lines[0] == "# layer=A kind=lattice(side=4) n=16"
         assert len(lines) - 1 == 32  # 2n undirected edges on a 4-regular lattice
         u, v = lines[1].split()
@@ -156,9 +151,7 @@ class TestEdgelistDump:
         assert len(set(lines[1:])) == 32  # a simple layer lists each edge once
 
     def test_side_two_lists_each_edge_once_per_slot(self):
-        buf = io.StringIO()
-        write_edgelist(build_lattice(2), "A", buf)
-        lines = buf.getvalue().strip().split("\n")[1:]
-        assert len(lines) == 8
-        assert sorted(set(lines)) == ["0 1", "0 2", "1 3", "2 3"]
-        assert all(lines.count(line) == 2 for line in lines)
+        # Node order, then each node's up, down, left, right slots.
+        assert edgelist(build_lattice(2), "A") == (
+            "# layer=A kind=lattice(side=2) n=4\n"
+            "0 2\n0 2\n0 1\n0 1\n1 3\n1 3\n2 3\n2 3\n")

@@ -37,8 +37,13 @@ def _check_keys(d: dict, allowed: set[str], path: str):
 def _number(value, path: str) -> float:
     _require(isinstance(value, (int, float)) and not isinstance(value, bool),
              f"{path} must be a number, got {value!r}")
-    _require(math.isfinite(value), f"{path} must be a finite number, got {value}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ConfigurationError(
+            f"{path} must be a finite number, got an integer too large for a float") from None
+    _require(math.isfinite(x), f"{path} must be a finite number, got {x}")
+    return x
 
 
 def _positive(value, path: str) -> float:
@@ -171,7 +176,7 @@ def load_spec(path: str) -> SweepSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not JSON, not UTF-8, or an integer past int's digit limit
         raise ConfigurationError(f"malformed config {path}: {exc}") from exc
     return spec_from_dict(raw)
 

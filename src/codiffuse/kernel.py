@@ -8,6 +8,7 @@ contagion has that contagion's term switched off by its indicator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,11 +73,13 @@ def hill_term(x: float, k: float, alpha: float) -> float:
     """(x/k)^alpha with the zero-density convention: exactly 0 whenever x == 0.
 
     The convention covers alpha == 0 too, so a node with no active sources can
-    never adopt spontaneously.
+    never adopt spontaneously. math.pow raises ValueError on a negative x with
+    a fractional alpha (where ** returns a complex number or NaN) and
+    OverflowError on overflow.
     """
     if x == 0.0:
         return 0.0
-    return (x / k) ** alpha
+    return math.pow(x / k, alpha)
 
 
 def hill_term_vec(x: np.ndarray, k: float, alpha: float) -> np.ndarray:

@@ -56,8 +56,9 @@ class MeanFieldParams:
             raise ConfigurationError("horizon must be at least one step")
 
 
-def mf_rates(state: np.ndarray, params: MeanFieldParams) -> np.ndarray:
-    """Derivatives of (x_a, x_b, x_ab, x_naive, x_r); components sum to 0."""
+def mf_rates(state, params: MeanFieldParams) -> tuple[float, ...]:
+    """Derivatives of (x_a, x_b, x_ab, x_naive, x_r) at any 5-sequence of
+    fractions, as a tuple of floats; components sum to 0."""
     x_a, x_b, x_ab, x_naive, _ = state
     kern, dorm = params.kernel, params.dormancy
     ta = hill_term(x_a + x_ab, kern.k_a, kern.alpha)
@@ -77,13 +78,13 @@ def mf_rates(state: np.ndarray, params: MeanFieldParams) -> np.ndarray:
     r_a = dorm.tau_a * x_a
     r_b = dorm.tau_b * x_b
     r_ab = dorm.tau_ab * x_ab
-    return np.array([
+    return (
         f_a - g_a - r_a,
         f_b - g_b - r_b,
         g_a + g_b - r_ab,
         -(f_a + f_b),
         r_a + r_b + r_ab,
-    ])
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,23 +94,33 @@ class Trajectory:
 
 
 def integrate(initial: MeanFieldState, params: MeanFieldParams) -> Trajectory:
-    """Classical fixed-step 4th-order integration to the horizon.
+    """Classical fixed-step 4th-order integration to the horizon, on Python floats.
 
-    The horizon is rounded to a whole number of steps. Raises IntegrationError
-    if any component leaves [0, 1] by more than 1e-6 or turns NaN (shrink h).
+    The horizon is rounded to a whole number of steps. Each stage is built
+    element by element with the operations, in the order, that whole-array RK4
+    on 5-element numpy arrays runs, so the trajectory is bit-identical to it.
+    Raises IntegrationError (shrink h) at the first step whose state leaves
+    [0, 1] by more than 1e-6, or one of whose stages gives hill_term a negative
+    density or overflows its power, in either adoption mode.
     """
     n_steps = max(1, round(params.horizon / params.h))
     h = params.h
-    y = initial.as_array().astype(float)
+    half, sixth = 0.5 * h, h / 6.0
     out = np.empty((n_steps + 1, 5))
-    out[0] = y
+    out[0] = initial.as_array()
+    y = out[0].tolist()
     for k in range(1, n_steps + 1):
-        k1 = mf_rates(y, params)
-        k2 = mf_rates(y + 0.5 * h * k1, params)
-        k3 = mf_rates(y + 0.5 * h * k2, params)
-        k4 = mf_rates(y + h * k3, params)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all((y >= -BOUNDS_TOL) & (y <= 1.0 + BOUNDS_TOL)):
+        try:
+            k1 = mf_rates(y, params)
+            k2 = mf_rates([a + half * d for a, d in zip(y, k1)], params)
+            k3 = mf_rates([a + half * d for a, d in zip(y, k2)], params)
+            k4 = mf_rates([a + h * d for a, d in zip(y, k3)], params)
+            y = [a + sixth * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
+                 for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+            inside = all(-BOUNDS_TOL <= v <= 1.0 + BOUNDS_TOL for v in y)
+        except (ValueError, ArithmeticError):  # pow off its domain, overflow, zero divisor
+            inside = False
+        if not inside:
             raise IntegrationError(
                 f"state left [0,1] at t={k * h:.6g} (h={h}); reduce the step size"
             )

@@ -1,7 +1,8 @@
 """Shared test fixtures: a hand-built two-layer graph of independent star groups,
 a slow per-node reference implementation of the synchronous step, a
-full-horizon realization loop that never stops at absorption, and `run`
-outputs at several worker counts.
+full-horizon realization loop that never stops at absorption, `run` outputs
+at several worker counts, and the numpy-array mean-field integrator that
+`meanfield.integrate` replaced, kept as its oracle.
 
 Each star group has 9 nodes: one target (offset 0), four layer-A sources
 (offsets 1..4) and four layer-B sources (offsets 5..8). The target's layer-A
@@ -25,7 +26,9 @@ from codiffuse.engine import (
     step_with_draws,
     stream,
 )
+from codiffuse.errors import IntegrationError
 from codiffuse.kernel import (
+    EXCLUSIVE,
     NAIVE,
     QUENCHED,
     STATE_A,
@@ -37,6 +40,7 @@ from codiffuse.kernel import (
     dormancy_rate,
     fires,
 )
+from codiffuse.meanfield import BOUNDS_TOL, Trajectory
 from codiffuse.sweep import run_single
 from codiffuse.topology import Layer, MultiplexGraph
 
@@ -158,3 +162,60 @@ def run_outputs_by_workers(tmp_path, raw: dict) -> list[list[tuple[dict, dict]]]
             outputs.append((csvs, manifest["parameter_sets"][0]["absorbed_at"]))
         by_mode.append(outputs)
     return by_mode
+
+
+def _reference_rates(state: np.ndarray, params) -> np.ndarray:
+    """`mf_rates` on numpy scalars: a negative density gives a NaN term (with a
+    RuntimeWarning), which exclusive mode's `tot > 0.0` test drops."""
+    x_a, x_b, x_ab, x_naive, _ = state
+    kern, dorm = params.kernel, params.dormancy
+
+    def hill(x, k):
+        return 0.0 if x == 0.0 else (x / k) ** kern.alpha
+
+    ta = hill(x_a + x_ab, kern.k_a)
+    tb = hill(x_b + x_ab, kern.k_b)
+    tot = ta + tb
+    p_naive = tot / (1.0 + tot)
+    if tot > 0.0:
+        f_a = x_naive * p_naive * (ta / tot)
+        f_b = x_naive * p_naive * (tb / tot)
+    else:
+        f_a = f_b = 0.0
+    if kern.mode == EXCLUSIVE:
+        g_a = g_b = 0.0
+    else:
+        g_a = x_a * (tb / (1.0 + tb))
+        g_b = x_b * (ta / (1.0 + ta))
+    r_a = dorm.tau_a * x_a
+    r_b = dorm.tau_b * x_b
+    r_ab = dorm.tau_ab * x_ab
+    return np.array([
+        f_a - g_a - r_a,
+        f_b - g_b - r_b,
+        g_a + g_b - r_ab,
+        -(f_a + f_b),
+        r_a + r_b + r_ab,
+    ])
+
+
+def reference_integrate(initial, params) -> Trajectory:
+    """`meanfield.integrate` as whole-array RK4 steps on 5-element arrays."""
+    n_steps = max(1, round(params.horizon / params.h))
+    h = params.h
+    y = initial.as_array().astype(float)
+    out = np.empty((n_steps + 1, 5))
+    out[0] = y
+    for k in range(1, n_steps + 1):
+        k1 = _reference_rates(y, params)
+        k2 = _reference_rates(y + 0.5 * h * k1, params)
+        k3 = _reference_rates(y + 0.5 * h * k2, params)
+        k4 = _reference_rates(y + h * k3, params)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all((y >= -BOUNDS_TOL) & (y <= 1.0 + BOUNDS_TOL)):
+            raise IntegrationError(
+                f"state left [0,1] at t={k * h:.6g} (h={h}); reduce the step size"
+            )
+        out[k] = y
+    times = np.arange(n_steps + 1) * h
+    return Trajectory(times=times, states=out)

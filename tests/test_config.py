@@ -3,6 +3,7 @@ import re
 
 import pytest
 
+from codiffuse.cli import main
 from codiffuse.config import (
     DEFAULT_ALPHAS,
     DEFAULT_TAUS,
@@ -121,6 +122,28 @@ class TestValidation:
         cfg.write_text(template.replace("X", literal))
         with pytest.raises(ConfigurationError,
                            match=f"^{re.escape(path)} must be a finite number, got {shown}$"):
+            load_spec(str(cfg))
+
+    @pytest.mark.parametrize("path, template", [
+        ("alpha[0]", '{"alpha": [X]}'),
+        ("kernel.k_a", '{"kernel": {"k_a": X}}'),
+        ("meanfield.h", '{"meanfield": {"h": X}}'),
+    ])
+    def test_integer_beyond_float_range_exits_two(self, tmp_path, capsys, path, template):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(template.replace("X", "1" + "0" * 400))
+        out = tmp_path / "mf"
+        assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path} must be a finite number" in err
+        assert "0" * 400 not in err
+        assert not out.exists()
+
+    def test_integer_past_the_digit_limit_is_malformed(self, tmp_path):
+        # json parses integers with int(), which refuses more than 4300 digits.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"alpha": [1' + "0" * 5000 + "]}")
+        with pytest.raises(ConfigurationError, match="malformed config"):
             load_spec(str(cfg))
 
     def test_malformed_file(self, tmp_path):

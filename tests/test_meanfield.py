@@ -1,11 +1,14 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 from codiffuse.cli import main
 from codiffuse.errors import ConfigurationError, IntegrationError
-from codiffuse.kernel import EXCLUSIVE, DormancyParams, KernelParams
+from codiffuse.kernel import EXCLUSIVE, INCLUSIVE, DormancyParams, KernelParams
 from codiffuse.meanfield import (
     MeanFieldParams,
     MeanFieldState,
@@ -13,6 +16,8 @@ from codiffuse.meanfield import (
     mf_rates,
     trajectory_csv,
 )
+
+from _harness import reference_integrate
 
 
 def mfp(alpha, tau_a, tau_b, **kw):
@@ -51,7 +56,7 @@ class TestRates:
             rates = mf_rates(state, mfp(float(rng.uniform(0, 1.6)),
                                         float(rng.uniform(0, 0.3)),
                                         float(rng.uniform(0, 0.3))))
-            assert abs(rates.sum()) < 1e-16
+            assert abs(np.sum(rates)) < 1e-16
 
 
 class TestIntegrate:
@@ -102,10 +107,31 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match="reduce the step"):
             integrate(MeanFieldState(0.1, 0.1, 0.0, 0.8, 0.0), params)
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_exclusive_negative_stage_reported_at_its_step(self):
+        # No dual-adoption term would carry this stage's failed power into the
+        # state, so only the power's own error can report it.
+        params = MeanFieldParams(kernel=KernelParams(alpha=0.3, mode=EXCLUSIVE),
+                                 dormancy=DormancyParams(0.5, 0.25), h=3.0, horizon=700.0)
+        with pytest.raises(IntegrationError, match=r"at t=3 \(h=3\.0\); reduce the step size"):
+            integrate(MeanFieldState(0.1, 0.1, 0.0, 0.8, 0.0), params)
+
+    @pytest.mark.parametrize("raw, t", [
+        ({"alpha": [0.3], "tau_a": [0.5], "tau_b": [0.25],
+          "kernel": {"adoption": "exclusive"}, "meanfield": {"h": 4.0}}, "4"),
+        ({"alpha": [1.6], "tau_a": [0.0], "tau_b": [0.0],
+          "meanfield": {"h": 1e300, "horizon": 1e300}}, "1e+300"),
+    ], ids=["exclusive-negative-stage", "overflowing-stage"])
+    def test_failing_stage_exits_three_and_writes_nothing(self, tmp_path, capsys, raw, t):
+        cfg = tmp_path / "mf.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "mf"
+        assert main(["meanfield", "--config", str(cfg), "--out", str(out)]) == 3
+        assert f"state left [0,1] at t={t} " in capsys.readouterr().err
+        assert not (out / "meanfield.csv").exists()
+
     def test_nan_state_exits_three_and_writes_nothing(self, tmp_path, capsys):
-        # An RK stage goes negative, hill_term raises it to a fractional power
-        # and returns NaN, which must fail the bounds check like any overshoot.
+        # An RK stage goes negative, so hill_term's fractional power fails,
+        # which must be reported like any overshoot.
         cfg = tmp_path / "mf.json"
         cfg.write_text(json.dumps({"alpha": [0.3], "tau_a": [0.5], "tau_b": [0.25],
                                    "meanfield": {"h": 5.0}}))
@@ -128,6 +154,41 @@ class TestIntegrate:
             mfp(1.0, 0.0, 0.0, h=0.0)
         with pytest.raises(ConfigurationError):
             mfp(1.0, 0.0, 0.0, h=2.0, horizon=1.0)
+
+
+class TestMatchesArrayIntegrator:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(alpha=st.floats(0.0, 1.6), k_a=st.floats(0.5, 4.0), k_b=st.floats(0.5, 4.0),
+           tau_a=st.floats(0.0, 0.3), tau_b=st.floats(0.0, 0.3),
+           mode=st.sampled_from((INCLUSIVE, EXCLUSIVE)),
+           x0=st.floats(0.0, 0.2, exclude_min=True), h=st.floats(0.05, 1.0),
+           n_steps=st.integers(1, 50))
+    # The drawn steps never leave [0, 1]; these overshoot at t=10 and at t=20,
+    # with negative stages under an integral alpha.
+    @example(alpha=0.0, k_a=2.0, k_b=2.0, tau_a=0.0, tau_b=0.0, mode=INCLUSIVE,
+             x0=0.1, h=10.0, n_steps=20)
+    @example(alpha=1.0, k_a=2.0, k_b=2.0, tau_a=0.0, tau_b=0.0, mode=INCLUSIVE,
+             x0=0.1, h=10.0, n_steps=20)
+    def test_bit_identical_to_numpy_array_rk4(self, alpha, k_a, k_b, tau_a, tau_b, mode,
+                                               x0, h, n_steps):
+        params = MeanFieldParams(
+            kernel=KernelParams(alpha=alpha, k_a=k_a, k_b=k_b, mode=mode),
+            dormancy=DormancyParams(tau_a, tau_b), h=h, horizon=n_steps * h)
+        initial = seeded_state(x0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                expect = reference_integrate(initial, params)
+            except RuntimeWarning:
+                reject()  # a NaN stage, which integrate reports instead
+            except IntegrationError as exc:
+                with pytest.raises(IntegrationError) as got:
+                    integrate(initial, params)
+                assert str(got.value) == str(exc)
+                return
+        got = integrate(initial, params)
+        assert np.array_equal(got.times, expect.times)
+        assert np.array_equal(got.states, expect.states)
 
 
 class TestTrajectoryCsv:

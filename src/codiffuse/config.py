@@ -15,6 +15,7 @@ from .analysis import MIN_CEILING_STEPS
 from .engine import DEFAULT_SEED, RunConfig
 from .errors import ConfigurationError
 from .kernel import ANNEALED, EXCLUSIVE, INCLUSIVE, QUENCHED, DormancyParams, KernelParams
+from .meanfield import MAX_STEPS
 
 DEFAULT_ALPHAS = [round(0.1 * i, 10) for i in range(14)]
 DEFAULT_TAUS = [round(0.01 * i, 10) for i in range(11)]
@@ -153,6 +154,12 @@ def spec_from_dict(raw: dict) -> SweepSpec:
     spec = SweepSpec(**values)
 
     _require(spec.mf_horizon >= spec.mf_h, "meanfield.horizon must be >= meanfield.h")
+    mf_steps = spec.mf_horizon / spec.mf_h  # a float compare, so an infinite ratio fails too
+    _require(mf_steps <= MAX_STEPS,
+             f"meanfield.horizon / meanfield.h must be <= {MAX_STEPS} steps, got {mf_steps}")
+    for alpha in spec.alphas:  # each kernel's own checks, before any output
+        KernelParams(alpha=alpha, k_a=spec.k_a, k_b=spec.k_b, mode=spec.adoption,
+                     threshold_mode=spec.thresholds)
     n = spec.side * spec.side
     _require(spec.degree < n, f"graph.degree must be < node count {n}, got {spec.degree}")
     _require((n * spec.degree) % 2 == 0,

@@ -89,34 +89,6 @@ class RunConfig:
 
 
 @dataclass(frozen=True, eq=False)
-class CountsSeries:
-    """Per-step node counts by state (columns naive, a, b, ab) over the full horizon.
-
-    States are exclusive, so each row of `counts` sums to n; counting ignores
-    activity. `absorbed_at` is the number of steps actually simulated: rows from
-    there on repeat the absorbed row, and it equals the horizon when the run
-    never absorbed.
-    """
-
-    counts: np.ndarray  # (steps, 4) int64
-    absorbed_at: int
-
-
-@dataclass(frozen=True, eq=False)
-class EnsembleResult:
-    """Stacked per-iteration series for one parameter set, plus each iteration's
-    number of simulated steps (see `CountsSeries.absorbed_at`)."""
-
-    counts: np.ndarray  # (iterations, steps, 4) int64
-    absorbed_at: np.ndarray  # (iterations,) int64
-
-    @property
-    def mean(self) -> np.ndarray:
-        """(steps, 4) float64 mean of the four state counts over iterations."""
-        return self.counts.mean(axis=0)
-
-
-@dataclass(frozen=True, eq=False)
 class StepTables:
     """Everything a step reads from the kernel, indexed by integer neighbor counts.
 
@@ -144,8 +116,11 @@ def step_tables(kernel: KernelParams, dormancy: DormancyParams, t_a: int,
     sum, p = tot / (1 + tot), 1 - p and the guarded share division), so a lookup
     returns exactly the value the node would have computed.
     """
-    term_a = hill_term_vec(np.arange(t_a + 1) / t_a, kernel.k_a, kernel.alpha)
-    term_b = hill_term_vec(np.arange(t_b + 1) / t_b, kernel.k_b, kernel.alpha)
+    # KernelParams keeps every term finite; a density / k that overflows passes
+    # only at alpha == 0, whose power is exactly 1.
+    with np.errstate(over="ignore"):
+        term_a = hill_term_vec(np.arange(t_a + 1) / t_a, kernel.k_a, kernel.alpha)
+        term_b = hill_term_vec(np.arange(t_b + 1) / t_b, kernel.k_b, kernel.alpha)
     threshold = np.empty((4, t_a + 1, t_b + 1))
     for state in (NAIVE, STATE_A, STATE_B, STATE_AB):
         # A carried contagion switches its term off; exclusive adopters are immune.
@@ -282,9 +257,15 @@ def iteration_graph(config: RunConfig, rng: np.random.Generator | None) -> Multi
 
 
 def run(config: RunConfig, iteration: int = 0,
-        graph: MultiplexGraph | None = None) -> CountsSeries:
+        graph: MultiplexGraph | None = None) -> tuple[np.ndarray, int]:
     """One realization: (re)sample graph, seed, step until absorption or
     `config.steps`, count, all from `iteration_stream`.
+
+    Returns `(counts, absorbed_at)`. `counts` is (steps, 4) int64: per-step node
+    counts by state (columns naive, a, b, ab); states are exclusive, so each
+    row sums to n, and counting ignores activity. `absorbed_at` is the number
+    of steps actually simulated: rows from there on repeat the absorbed row,
+    and it equals the horizon when the run never absorbed.
 
     Absorption is tested only after a step that left the count row unchanged:
     an absorbed population produces such a step, so busy steps pay nothing for
@@ -309,12 +290,15 @@ def run(config: RunConfig, iteration: int = 0,
             break
         prev = row
     counts[done:] = counts[done - 1]
-    return CountsSeries(counts=counts, absorbed_at=done)
+    return counts, done
 
 
-def run_ensemble(config: RunConfig, iterations: int | range) -> EnsembleResult:
+def run_ensemble(config: RunConfig, iterations: int | range) -> tuple[np.ndarray, np.ndarray]:
     """Independent realizations of one parameter set, in index order: 0..iterations-1
     for a count, the given iteration indices for a range.
+
+    Returns `(counts, absorbed_at)`: every iteration's `run` result as one row
+    of a (iterations, steps, 4) and a (iterations,) int64 array.
 
     Every iteration has its own stream, so any split of the indices yields the
     same per-iteration rows. A frozen graph is built once for the whole call.
@@ -323,7 +307,8 @@ def run_ensemble(config: RunConfig, iterations: int | range) -> EnsembleResult:
     if len(indices) < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
     graph = iteration_graph(config, None) if config.freeze_rrg else None
-    series = [run(config, i, graph=graph) for i in indices]
-    counts = np.stack([cs.counts for cs in series])
-    absorbed_at = np.array([cs.absorbed_at for cs in series], dtype=np.int64)
-    return EnsembleResult(counts=counts, absorbed_at=absorbed_at)
+    counts = np.empty((len(indices), config.steps, 4), dtype=np.int64)
+    absorbed_at = np.empty(len(indices), dtype=np.int64)
+    for row, i in enumerate(indices):
+        counts[row], absorbed_at[row] = run(config, i, graph=graph)
+    return counts, absorbed_at

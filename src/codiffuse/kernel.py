@@ -25,7 +25,12 @@ QUENCHED = "quenched"
 
 @dataclass(frozen=True)
 class KernelParams:
-    """Synergy exponent alpha, half-saturation constants, adoption and threshold modes."""
+    """Synergy exponent alpha, half-saturation constants, adoption and threshold modes.
+
+    The terms at density 1, the largest a node can see, must sum to a finite
+    number: an infinite sum would make p = inf / (1 + inf) NaN, which no draw
+    clears, so saturating adoption would never fire.
+    """
 
     alpha: float
     k_a: float = 2.0
@@ -42,6 +47,13 @@ class KernelParams:
             raise ConfigurationError(f"unknown adoption mode {self.mode!r}")
         if self.threshold_mode not in (ANNEALED, QUENCHED):
             raise ConfigurationError(f"unknown threshold mode {self.threshold_mode!r}")
+        with np.errstate(over="ignore"):
+            top = (hill_term_vec(1.0, self.k_a, self.alpha)
+                   + hill_term_vec(1.0, self.k_b, self.alpha))
+        if not np.isfinite(top):
+            raise ConfigurationError(
+                f"kernel terms overflow: (1/k_a)^alpha + (1/k_b)^alpha is not finite "
+                f"for alpha {self.alpha}, k_a {self.k_a}, k_b {self.k_b}")
 
 
 @dataclass(frozen=True)

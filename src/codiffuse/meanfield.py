@@ -20,6 +20,10 @@ from .kernel import EXCLUSIVE, DormancyParams, KernelParams, hill_term
 
 BOUNDS_TOL = 1e-6
 
+# Most RK4 steps one trajectory may take: its times and states then fill about
+# 480 MB (the default horizon 700 at h 0.1 takes 7,000 steps).
+MAX_STEPS = 10_000_000
+
 COMPONENTS = ("x_a", "x_b", "x_ab", "x_naive", "x_r")
 
 
@@ -54,6 +58,9 @@ class MeanFieldParams:
             raise ConfigurationError(f"step size h must be > 0, got {self.h}")
         if self.horizon < self.h:
             raise ConfigurationError("horizon must be at least one step")
+        if self.horizon / self.h > MAX_STEPS:  # a float compare, so an infinite ratio fails too
+            raise ConfigurationError(
+                f"horizon / h must be <= {MAX_STEPS} steps, got {self.horizon / self.h}")
 
 
 def mf_rates(state, params: MeanFieldParams) -> tuple[float, ...]:

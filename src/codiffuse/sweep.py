@@ -29,7 +29,7 @@ from . import __version__
 from .analysis import CATEGORIES, ensemble_stats, iteration_ceilings, kde
 from .config import (SweepSpec, nonempty_parameter_sets, run_config_for,
                      single_parameter_set, spec_to_dict)
-from .engine import EnsembleResult, run_ensemble
+from .engine import run_ensemble
 from .errors import AnalysisError, ConfigurationError
 
 SERIES_DIR = "series"
@@ -149,21 +149,22 @@ def usable_cpus() -> int:
 
 
 def _sweep_task(spec: SweepSpec, index: int, alpha: float, tau_a: float,
-                tau_b: float, iterations: range) -> EnsembleResult:
+                tau_b: float, iterations: range) -> tuple[np.ndarray, np.ndarray]:
     """Counts and absorption steps of one set's iterations `iterations`."""
     return run_ensemble(run_config_for(spec, index, alpha, tau_a, tau_b), iterations)
 
 
-def _emit_set(out_dir: str, tag: str, ens: EnsembleResult, per_iteration: bool,
+def _emit_set(out_dir: str, tag: str, counts: np.ndarray, per_iteration: bool,
               files: dict[str, str]) -> list[tuple]:
-    """Write one set's files, adding each to `files` as rel: sha256 once it is on
-    disk; returns the set's (category, metric, value) statistics."""
+    """Write the files of one set's (iterations, steps, 4) counts, adding each to
+    `files` as rel: sha256 once it is on disk; returns the set's (category,
+    metric, value) statistics."""
     if per_iteration:
-        for it, counts in enumerate(ens.counts):
+        for it, series in enumerate(counts):
             rel = os.path.join(SERIES_DIR, f"{tag}_iter{it:03d}.csv")
-            files[rel] = write_series_csv(os.path.join(out_dir, rel), counts)
-    mean_counts = ens.mean
-    ceilings = iteration_ceilings(ens.counts)
+            files[rel] = write_series_csv(os.path.join(out_dir, rel), series)
+    mean_counts = counts.mean(axis=0)
+    ceilings = iteration_ceilings(counts)
     rel = os.path.join(SERIES_DIR, f"{tag}_mean.csv")
     files[rel] = write_series_csv(os.path.join(out_dir, rel), mean_counts)
     rel = os.path.join(CEILINGS_DIR, f"{tag}.csv")
@@ -263,14 +264,13 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
         else:
             counts = np.empty((spec.iterations, spec.steps, 4), dtype=np.int64)
             absorbed_at = np.empty(spec.iterations, dtype=np.int64)
-            for part_its, part in got:
-                counts[part_its] = part.counts
-                absorbed_at[part_its] = part.absorbed_at
+            for part_its, (part_counts, part_absorbed_at) in got:
+                counts[part_its] = part_counts
+                absorbed_at[part_its] = part_absorbed_at
             summary = _absorption(absorbed_at)
             manifest["parameter_sets"][i]["absorbed_at"] = summary
             absorbed = f" absorbed p50={summary['p50']:g}/{spec.steps}"
-            stats[i] = _emit_set(out_dir, set_tag(i, alpha, ta, tb),
-                                 EnsembleResult(counts=counts, absorbed_at=absorbed_at),
+            stats[i] = _emit_set(out_dir, set_tag(i, alpha, ta, tb), counts,
                                  command == "run", files)
         _progress(f"[{len(stats) + len(manifest['failures'])}/{len(sets)}] "
                   f"set {i} done ({time.monotonic() - t0:.1f}s){absorbed}")

@@ -55,8 +55,8 @@ def a_ceilings(alpha: float, tau_a: float, tau_b: float, seed: int,
                iterations: int = 100) -> np.ndarray:
     cfg = RunConfig(kernel=KernelParams(alpha=alpha),
                     dormancy=DormancyParams(tau_a, tau_b), master_seed=seed)
-    ens = run_ensemble(cfg, iterations)
-    return iteration_ceilings(ens.counts)[:, A_COL]
+    counts, _ = run_ensemble(cfg, iterations)
+    return iteration_ceilings(counts)[:, A_COL]
 
 
 def test_criterion_01_kernel_oracle_equivalence():
@@ -115,7 +115,7 @@ def test_criterion_04_contagion_b_diffuses_faster():
     for s in range(100):
         cfg = RunConfig(kernel=KernelParams(alpha=0.8), dormancy=DormancyParams(0.0, 0.0),
                         side=32, steps=250, master_seed=40_000 + s)
-        mean = run_ensemble(cfg, 6).mean
+        mean = run_ensemble(cfg, 6)[0].mean(axis=0)
         ia = inflection(category_series(mean, "a"))
         ib = inflection(category_series(mean, "b"))
         if ia is not None and ib is not None and ib < ia:
@@ -133,7 +133,7 @@ def test_criterion_05_alpha_slows_diffusion():
     for k, alpha in enumerate(alphas):
         cfg = RunConfig(kernel=KernelParams(alpha=alpha), dormancy=DormancyParams(0.0, 0.0),
                         side=32, steps=500, master_seed=50_000, param_index=k)
-        mean = run_ensemble(cfg, 12).mean
+        mean = run_ensemble(cfg, 12)[0].mean(axis=0)
         infl.append(inflection(category_series(mean, "ab")))
     rho = float(spearmanr(alphas, infl).statistic)
     report(5, rho >= 0.9, "alpha slows diffusion (dual-adopter inflection)",

@@ -12,7 +12,7 @@ from codiffuse.analysis import (
     mode_shares,
     silverman_bandwidth,
 )
-from codiffuse.engine import EnsembleResult, stream
+from codiffuse.engine import stream
 from codiffuse.errors import AnalysisError
 
 
@@ -125,49 +125,48 @@ class TestCategorySeries:
 
 
 def fake_ensemble(per_iteration_ab):
-    """Iterations that jump straight to their terminal AB count at step 0."""
+    """(iterations, 20, 4) counts of iterations that jump straight to their
+    terminal AB count at step 0."""
     n = 100
     iters = len(per_iteration_ab)
     counts = np.zeros((iters, 20, 4), dtype=np.int64)
     for i, ab in enumerate(per_iteration_ab):
         counts[i, :, 3] = ab
         counts[i, :, 0] = n - ab
-    return EnsembleResult(counts=counts, absorbed_at=np.ones(iters, dtype=np.int64))
+    return counts
 
 
-def set_stats(ens):
+def set_stats(counts):
     """The heatmap statistics `sweep` writes for one set."""
-    return ensemble_stats(ens.mean, iteration_ceilings(ens.counts))
+    return ensemble_stats(counts.mean(axis=0), iteration_ceilings(counts))
 
 
 class TestSummaries:
     def test_two_point_ceiling_stats(self):
-        ens = fake_ensemble([0, 100])
-        ceilings = iteration_ceilings(ens.counts)
+        counts = fake_ensemble([0, 100])
+        ceilings = iteration_ceilings(counts)
         k = CATEGORIES.index("ab")
         assert ceilings[:, k].tolist() == [0.0, 100.0]
         rows = {(cat, metric): value
-                for cat, metric, value in ensemble_stats(ens.mean, ceilings)}
+                for cat, metric, value in ensemble_stats(counts.mean(axis=0), ceilings)}
         assert rows[("ab", "ceiling_mean")] == 50.0
         assert rows[("ab", "ceiling_std")] == 50.0  # population std
 
     def test_deterministic_runs_have_zero_std(self):
-        ens = fake_ensemble([40, 40, 40])
-        stds = [v for cat, metric, v in set_stats(ens) if metric == "ceiling_std"]
+        counts = fake_ensemble([40, 40, 40])
+        stds = [v for cat, metric, v in set_stats(counts) if metric == "ceiling_std"]
         assert stds == [0.0, 0.0, 0.0, 0.0]
 
     def test_missing_inflection_is_none(self):
-        ens = fake_ensemble([0, 0])
-        rows = {(cat, metric): value for cat, metric, value in set_stats(ens)}
+        counts = fake_ensemble([0, 0])
+        rows = {(cat, metric): value for cat, metric, value in set_stats(counts)}
         assert rows[("ab", "inflection_mean")] is None
         assert rows[("naive", "inflection_mean")] == 0.0
 
     def test_iteration_order_invariance(self):
         rng = stream(56, 0)
         counts = rng.integers(0, 50, (8, 25, 4)).astype(np.int64)
-        ens = EnsembleResult(counts=counts, absorbed_at=np.full(8, 25, dtype=np.int64))
-        shuffled = EnsembleResult(counts=counts[rng.permutation(8)],
-                                  absorbed_at=ens.absorbed_at)
-        for (r1, r2) in zip(set_stats(ens), set_stats(shuffled)):
+        shuffled = counts[rng.permutation(8)]
+        for (r1, r2) in zip(set_stats(counts), set_stats(shuffled)):
             assert r1[:2] == r2[:2]
             assert r1[2] == pytest.approx(r2[2], abs=1e-9)

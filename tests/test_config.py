@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -16,6 +17,7 @@ from codiffuse.config import (
     spec_to_dict,
 )
 from codiffuse.errors import ConfigurationError
+from codiffuse.meanfield import MAX_STEPS
 
 
 class TestDefaults:
@@ -83,6 +85,19 @@ class TestValidation:
                            match="meanfield.horizon must be >= meanfield.h"):
             spec_from_dict({"meanfield": {"h": 1000}})
         assert spec_from_dict({"meanfield": {"h": 700}}).mf_h == 700.0
+
+    def test_meanfield_step_count_is_capped(self):
+        spec = spec_from_dict({"meanfield": {"h": 0.5, "horizon": MAX_STEPS / 2}})
+        assert spec.mf_horizon / spec.mf_h == MAX_STEPS
+        just_above = {"h": math.nextafter(0.5, 0.0), "horizon": MAX_STEPS / 2}
+        with pytest.raises(ConfigurationError,
+                           match=f"meanfield.horizon / meanfield.h must be <= {MAX_STEPS}"):
+            spec_from_dict({"meanfield": just_above})
+
+    def test_overflowing_kernel_rejected_for_any_listed_alpha(self):
+        with pytest.raises(ConfigurationError, match="kernel terms overflow.*alpha 1.3"):
+            spec_from_dict({"alpha": [0.0, 1.3], "kernel": {"k_a": 1e-300}})
+        assert spec_from_dict({"alpha": [0.0, 1.3], "kernel": {"k_a": 1e-200}}).k_a == 1e-200
 
     @pytest.mark.parametrize("raw, path", [
         ({"x": 1}, "x"),

@@ -192,29 +192,29 @@ class TestStepSemantics:
 class TestRun:
     def test_bit_identical_repeat(self):
         cfg = small_config()
-        a = run(cfg, 0)
-        b = run(cfg, 0)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        assert a.absorbed_at == b.absorbed_at
+        a_counts, a_absorbed_at = run(cfg, 0)
+        b_counts, b_absorbed_at = run(cfg, 0)
+        np.testing.assert_array_equal(a_counts, b_counts)
+        assert a_absorbed_at == b_absorbed_at
 
     def test_conservation_and_monotone_ab(self):
         cfg = small_config(steps=60)
-        cs = run(cfg, 3)
-        assert (cs.counts.sum(axis=1) == cfg.n).all()
-        assert (np.diff(cs.counts[:, 3]) >= 0).all()
+        counts, _ = run(cfg, 3)
+        assert (counts.sum(axis=1) == cfg.n).all()
+        assert (np.diff(counts[:, 3]) >= 0).all()
 
     def test_full_codiffusion_at_zero_alpha_zero_tau(self):
         cfg = RunConfig(kernel=KernelParams(alpha=0.0), dormancy=DormancyParams(0.0, 0.0),
                         side=80, steps=700, master_seed=5)
-        cs = run(cfg, 0)
-        assert cs.counts[-1, 0] == 0
-        assert cs.counts[-1, 3] == 6400
+        counts, _ = run(cfg, 0)
+        assert counts[-1, 0] == 0
+        assert counts[-1, 3] == 6400
 
     def test_exclusive_mode_never_reaches_ab(self):
         cfg = small_config(kernel=KernelParams(alpha=0.3, mode=EXCLUSIVE), steps=50)
-        cs = run(cfg, 0)
-        assert (cs.counts[:, 3] == 0).all()
-        assert cs.counts[-1, 0] < cfg.n - 2  # it does spread, just without overlap
+        counts, _ = run(cfg, 0)
+        assert (counts[:, 3] == 0).all()
+        assert counts[-1, 0] < cfg.n - 2  # it does spread, just without overlap
 
     def test_single_layer_mode_shares_lattice(self):
         cfg = small_config(graph_mode="single")
@@ -231,23 +231,23 @@ class TestRun:
 class TestEnsemble:
     def test_single_iteration_mean_equals_run(self):
         cfg = small_config()
-        ens = run_ensemble(cfg, 1)
-        np.testing.assert_array_equal(ens.mean, run(cfg, 0).counts.astype(float))
+        counts, _ = run_ensemble(cfg, 1)
+        np.testing.assert_array_equal(counts.mean(axis=0), run(cfg, 0)[0].astype(float))
 
     def test_iteration_streams_match_standalone_runs(self):
         cfg = small_config()
-        ens = run_ensemble(cfg, 3)
+        counts, _ = run_ensemble(cfg, 3)
         for i in range(3):
-            np.testing.assert_array_equal(ens.counts[i], run(cfg, i).counts)
+            np.testing.assert_array_equal(counts[i], run(cfg, i)[0])
 
     def test_iteration_range_runs_those_iterations(self):
         cfg = small_config(freeze_rrg=True)
-        ens = run_ensemble(cfg, range(1, 6, 2))
-        assert ens.absorbed_at.dtype == np.int64
+        counts, absorbed_at = run_ensemble(cfg, range(1, 6, 2))
+        assert counts.dtype == absorbed_at.dtype == np.int64
         for row, i in enumerate((1, 3, 5)):
-            cs = run(cfg, i)
-            np.testing.assert_array_equal(ens.counts[row], cs.counts)
-            assert ens.absorbed_at[row] == cs.absorbed_at
+            run_counts, run_absorbed_at = run(cfg, i)
+            np.testing.assert_array_equal(counts[row], run_counts)
+            assert absorbed_at[row] == run_absorbed_at
 
     def test_worker_count_does_not_change_results(self, tmp_path):
         raw = {"alpha": [0.8], "tau_a": [0.05], "tau_b": [0.1], "iterations": 4,
@@ -262,8 +262,8 @@ class TestEnsemble:
         # tau=0, alpha=0 on a tiny graph where every run absorbs to all-AB.
         cfg = RunConfig(kernel=KernelParams(alpha=0.0), dormancy=DormancyParams(0.0, 0.0),
                         side=4, steps=80, master_seed=8)
-        ens = run_ensemble(cfg, 5)
-        np.testing.assert_array_equal(ens.mean[-1], [0.0, 0.0, 0.0, 16.0])
+        counts, _ = run_ensemble(cfg, 5)
+        np.testing.assert_array_equal(counts.mean(axis=0)[-1], [0.0, 0.0, 0.0, 16.0])
 
     def test_rejects_zero_iterations(self):
         with pytest.raises(ConfigurationError):

@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from codiffuse.engine import stream
+from codiffuse.engine import step_tables, stream
 from codiffuse.errors import ConfigurationError
 from codiffuse.kernel import (
     EXCLUSIVE,
@@ -167,3 +169,25 @@ class TestParamValidation:
             KernelParams(alpha=1.0, mode="both")
         with pytest.raises(ConfigurationError):
             KernelParams(alpha=1.0, threshold_mode="frozen")
+
+    def test_overflowing_terms_rejected_and_huge_finite_terms_saturate(self):
+        with pytest.raises(ConfigurationError, match="kernel terms overflow"):
+            KernelParams(alpha=1.3, k_a=1e-300, k_b=1e-300)
+        # Terms of about 1e260 are finite: every naive node with a source adopts.
+        tables = step_tables(KernelParams(alpha=1.3, k_a=1e-200, k_b=1e-200),
+                             DormancyParams(0.0, 0.0), 4, 4)
+        assert (tables.threshold.reshape(4, 5, 5)[NAIVE].ravel()[1:] == 0.0).all()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(alpha=st.floats(0.0, 1200.0), log_k_a=st.floats(-320.0, 3.0),
+           log_k_b=st.floats(-320.0, 3.0))
+    @example(alpha=0.0, log_k_a=-320.0, log_k_b=-320.0)  # density / k overflows
+    def test_accepted_kernels_have_finite_tables(self, alpha, log_k_a, log_k_b):
+        try:
+            kernel = KernelParams(alpha=alpha, k_a=10.0 ** log_k_a, k_b=10.0 ** log_k_b)
+        except ConfigurationError:
+            return
+        tables = step_tables(kernel, DormancyParams(0.0, 0.0), 4, 4)
+        for table in (tables.threshold, tables.share):
+            assert np.isfinite(table).all()
+            assert ((0.0 <= table) & (table <= 1.0)).all()

@@ -10,6 +10,7 @@ from codiffuse.cli import main
 from codiffuse.errors import ConfigurationError, IntegrationError
 from codiffuse.kernel import EXCLUSIVE, INCLUSIVE, DormancyParams, KernelParams
 from codiffuse.meanfield import (
+    MAX_STEPS,
     MeanFieldParams,
     MeanFieldState,
     integrate,
@@ -154,6 +155,10 @@ class TestIntegrate:
             mfp(1.0, 0.0, 0.0, h=0.0)
         with pytest.raises(ConfigurationError):
             mfp(1.0, 0.0, 0.0, h=2.0, horizon=1.0)
+        for h in (1e-12, 5e-324):
+            with pytest.raises(ConfigurationError, match=f"must be <= {MAX_STEPS} steps"):
+                mfp(1.0, 0.0, 0.0, h=h)
+        assert mfp(1.0, 0.0, 0.0, h=1.0, horizon=float(MAX_STEPS)).horizon == MAX_STEPS
 
 
 class TestMatchesArrayIntegrator:

@@ -161,7 +161,7 @@ class TestSweepOutputs:
         def collect(unit, result):
             assert not isinstance(result, BaseException), result
             alive_at_collect.append(sum(ref() is not None for ref in collected))
-            collected.append(weakref.ref(result.counts))
+            collected.append(weakref.ref(result[0]))
 
         sweep_mod._run_units(spec, units, 2, collect)
         assert len(collected) == len(units)
@@ -371,7 +371,38 @@ def cli(*args, cwd=None):
                           capture_output=True, text=True, cwd=cwd)
 
 
+OVERFLOW_REPRO = {"alpha": [1.3], "tau_a": [0.0], "tau_b": [0.0], "iterations": 2,
+                  "steps": 20, "graph": {"side": 8}, "kernel": {"k_a": 1e-300, "k_b": 1e-300}}
+
+
 class TestCli:
+    @pytest.mark.parametrize("command, raw, message", [
+        ("run", OVERFLOW_REPRO, "kernel terms overflow"),
+        ("meanfield", {"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
+                       "meanfield": {"h": 1e-12}},
+         "must be <= 10000000 steps, got 700000000000000.0"),
+        ("meanfield", {"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
+                       "meanfield": {"h": 5e-324}}, "must be <= 10000000 steps, got inf"),
+    ], ids=["kernel-overflow", "mf-h-1e-12", "mf-h-5e-324"])
+    def test_load_time_rule_exits_two_and_writes_nothing(self, tmp_path, command, raw, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "results"
+        proc = cli(command, "--config", str(cfg), "--out", str(out))
+        assert proc.returncode == 2, proc.stderr
+        assert message in proc.stderr
+        assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+        assert not out.exists()
+
+    def test_huge_finite_kernel_terms_reach_full_adoption(self, tmp_path):
+        raw = {**OVERFLOW_REPRO, "kernel": {"k_a": 1e-200, "k_b": 1e-200}}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "results"
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--workers", "1"]) == 0
+        (mean,) = (out / "series").glob("*_mean.csv")
+        assert read_series_csv(str(mean))[-1].tolist() == [0.0, 0.0, 0.0, 64.0]
+
     def test_missing_config_file_is_config_error(self, tmp_path):
         proc = cli("run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
         assert proc.returncode == 3  # unreadable input surfaces as OSError

@@ -25,6 +25,17 @@ again (adoption never turns activity on and dormancy only turns it off, so
 carrier counts can only fall), and the remaining count rows repeat the last
 one. The skipped draws belong to that iteration's own stream and feed nothing
 else, so the series is the same as stepping the full horizon.
+
+`run_ensemble` steps a batch of R iterations as one population of R·n nodes on
+the disjoint union of their graphs: block r holds iteration r's nodes, and its
+neighbor ids are its own graph's ids offset by r·n, so no neighbor slot crosses
+a block and one pass of the step code does R independent steps. Each
+iteration's stream samples its graph, seeds and quenched draws as a lone run
+would, and every step it fills its own n-slice of the adoption, choice and
+dormancy rows, so each block sees exactly the draws it would see alone.
+Counting is one bincount over the union, absorption is tested per block, and
+absorbed blocks are compacted out. Batches hold at most `BATCH_NODES` nodes
+(or one iteration), which bounds memory and changes no output.
 """
 
 from __future__ import annotations
@@ -46,13 +57,18 @@ from .kernel import (
     KernelParams,
     hill_term_vec,
 )
-from .topology import MultiplexGraph, build_lattice, build_rrg
+from .topology import Layer, MultiplexGraph, build_lattice, build_rrg
 
 DEFAULT_SEED = 1234
 
 # Third component of a stream address.
 ITERATION_STREAM = 0
 GRAPH_STREAM = 1
+
+# Most nodes one batch of `run_ensemble` steps together (a batch always holds at
+# least one iteration). It bounds a worker's batch arrays to a few MB and
+# changes no output.
+BATCH_NODES = 1 << 16
 
 
 def stream(master_seed: int, *key: int) -> np.random.Generator:
@@ -201,38 +217,50 @@ def step_with_draws(graph: MultiplexGraph, states: np.ndarray, active: np.ndarra
 
 
 def can_fire(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
-             kernel: KernelParams) -> bool:
-    """True while some node lacks a contagion and has an active carrier of it in
-    its neighbor slots on that contagion's layer (in exclusive mode only naive
-    nodes lack one).
+             kernel: KernelParams, blocks: int = 1) -> np.ndarray:
+    """Per block of `graph.n // blocks` consecutive nodes: True while some node
+    lacks a contagion and has an active carrier of it in its neighbor slots on
+    that contagion's layer (in exclusive mode only naive nodes lack one).
 
-    Structural: it reads carrier presence, not probabilities, so it is never
-    False while any adoption probability is positive, for every alpha >= 0,
-    underflow included.
+    Structural: it reads carrier presence, not probabilities, so a block is
+    never False while any of its adoption probabilities is positive, for every
+    alpha >= 0, underflow included.
     """
+    fire = np.zeros(blocks, dtype=bool)
     for bit, layer in ((STATE_A, graph.layer_a), (STATE_B, graph.layer_b)):
         carrier = _carriers(states, active, bit)
         if not carrier.any():
             continue
         lacks = states == NAIVE if kernel.mode == EXCLUSIVE else (states & bit) == 0
-        if (lacks & _neighbor_count(carrier, layer.nbrs)).any():
-            return True
-    return False
+        fire |= (lacks & _neighbor_count(carrier, layer.nbrs)).reshape(blocks, -1).any(axis=1)
+        if fire.all():
+            break
+    return fire
 
 
 def step(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
-         kernel: KernelParams, dormancy: DormancyParams, rng: np.random.Generator,
+         kernel: KernelParams, dormancy: DormancyParams,
+         rngs: np.random.Generator | list[np.random.Generator],
          quenched_draws: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous step. Annealed mode draws a fresh adoption uniform per node;
-    quenched mode reuses the fixed per-node draws from initialization."""
-    n = graph.n
-    if kernel.threshold_mode == QUENCHED:
-        if quenched_draws is None:
-            raise ValueError("quenched threshold mode needs the per-node draws")
-        choice_u, dorm_u = rng.random((2, n))
-        adoption_u = quenched_draws
+    """One synchronous step. `rngs` is one generator, or a list of one per block
+    of `graph.n // len(rngs)` consecutive nodes; each fills its block's slice of
+    every draw row, row by row. Annealed mode draws adoption, choice and
+    dormancy uniforms; quenched mode reuses the fixed per-node adoption draws
+    and draws only the choice and dormancy rows."""
+    if not isinstance(rngs, list):
+        rngs = [rngs]
+    quenched = kernel.threshold_mode == QUENCHED
+    if quenched and quenched_draws is None:
+        raise ValueError("quenched threshold mode needs the per-node draws")
+    draws = np.empty((2 if quenched else 3, graph.n))
+    size = graph.n // len(rngs)
+    for r, rng in enumerate(rngs):
+        for row in draws:
+            rng.random(out=row[r * size:(r + 1) * size])
+    if quenched:
+        adoption_u, (choice_u, dorm_u) = quenched_draws, draws
     else:
-        adoption_u, choice_u, dorm_u = rng.random((3, n))
+        adoption_u, choice_u, dorm_u = draws
     return step_with_draws(graph, states, active, kernel, dormancy,
                            adoption_u, choice_u, dorm_u)
 
@@ -256,59 +284,131 @@ def iteration_graph(config: RunConfig, rng: np.random.Generator | None) -> Multi
     return MultiplexGraph(layer_a=lattice, layer_b=build_rrg(lattice.n, config.degree, rng))
 
 
-def run(config: RunConfig, iteration: int = 0,
-        graph: MultiplexGraph | None = None) -> tuple[np.ndarray, int]:
-    """One realization: (re)sample graph, seed, step until absorption or
-    `config.steps`, count, all from `iteration_stream`.
-
-    Returns `(counts, absorbed_at)`. `counts` is (steps, 4) int64: per-step node
-    counts by state (columns naive, a, b, ab); states are exclusive, so each
-    row sums to n, and counting ignores activity. `absorbed_at` is the number
-    of steps actually simulated: rows from there on repeat the absorbed row,
-    and it equals the horizon when the run never absorbed.
-
-    Absorption is tested only after a step that left the count row unchanged:
-    an absorbed population produces such a step, so busy steps pay nothing for
-    the test.
-    """
-    rng = iteration_stream(config, iteration)
-    if graph is None:
-        graph = iteration_graph(config, rng)
-    states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
-    quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
-
-    counts = np.empty((config.steps, 4), dtype=np.int64)
-    prev = np.bincount(states, minlength=4)
-    done = 0
-    while done < config.steps:
-        states, active = step(graph, states, active, config.kernel, config.dormancy,
-                              rng, quenched)
-        row = counts[done]
-        row[:] = np.bincount(states, minlength=4)
-        done += 1
-        if np.array_equal(row, prev) and not can_fire(graph, states, active, config.kernel):
-            break
-        prev = row
-    counts[done:] = counts[done - 1]
-    return counts, done
+def run(config: RunConfig, iteration: int = 0) -> tuple[np.ndarray, int]:
+    """One realization: row 0 of `run_ensemble(config, range(iteration, iteration + 1))`,
+    as `(counts, absorbed_at)`, a (steps, 4) int64 array and an int."""
+    counts, absorbed_at = run_ensemble(config, range(iteration, iteration + 1))
+    return counts[0], int(absorbed_at[0])
 
 
 def run_ensemble(config: RunConfig, iterations: int | range) -> tuple[np.ndarray, np.ndarray]:
     """Independent realizations of one parameter set, in index order: 0..iterations-1
     for a count, the given iteration indices for a range.
 
-    Returns `(counts, absorbed_at)`: every iteration's `run` result as one row
-    of a (iterations, steps, 4) and a (iterations,) int64 array.
+    Returns `(counts, absorbed_at)`, a (iterations, steps, 4) and an
+    (iterations,) int64 array. `counts[r]` holds iteration r's per-step node
+    counts by state (columns naive, a, b, ab); states are exclusive, so each
+    row sums to n, and counting ignores activity. `absorbed_at[r]` is the
+    number of steps iteration r actually simulated: its rows from there on
+    repeat the absorbed row, and it equals the horizon when the run never
+    absorbed.
 
-    Every iteration has its own stream, so any split of the indices yields the
-    same per-iteration rows. A frozen graph is built once for the whole call.
+    The iterations are stepped in batches of at most `BATCH_NODES` nodes (at
+    least one iteration each). Every iteration has its own stream and its own
+    block of a batch, so any split of the indices yields the same rows. A
+    frozen graph is built once for the whole call.
     """
     indices = iterations if isinstance(iterations, range) else range(iterations)
     if len(indices) < 1:
         raise ConfigurationError(f"iterations must be >= 1, got {iterations}")
-    graph = iteration_graph(config, None) if config.freeze_rrg else None
+    frozen = iteration_graph(config, None) if config.freeze_rrg else None
     counts = np.empty((len(indices), config.steps, 4), dtype=np.int64)
     absorbed_at = np.empty(len(indices), dtype=np.int64)
-    for row, i in enumerate(indices):
-        counts[row], absorbed_at[row] = run(config, i, graph=graph)
+    size = max(1, BATCH_NODES // config.n)
+    for lo in range(0, len(indices), size):
+        batch = slice(lo, lo + size)
+        _run_batch(config, indices[batch], frozen, counts[batch], absorbed_at[batch])
     return counts, absorbed_at
+
+
+def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
+               counts: np.ndarray, absorbed_at: np.ndarray) -> None:
+    """Step the iterations `indices` as one population until each absorbs or the
+    horizon ends, filling their rows of `counts` and `absorbed_at` in place.
+
+    Absorption is tested only for blocks whose step left their count row
+    unchanged: an absorbed block produces such a step, so busy steps pay
+    nothing for the test. Absorbed blocks leave the population at once.
+    """
+    n, kernel = config.n, config.kernel
+    rngs, graphs, seeded, quenched = [], [], [], []
+    for i in indices:
+        rng = iteration_stream(config, i)
+        graphs.append(iteration_graph(config, rng) if frozen is None else frozen)
+        seeded.append(seed_population(n, rng, config.seeds_per_contagion))
+        if kernel.threshold_mode == QUENCHED:
+            quenched.append(rng.random(n))
+        rngs.append(rng)
+    graph = _disjoint_union(graphs)
+    states = np.concatenate([s for s, _ in seeded])
+    active = np.concatenate([a for _, a in seeded])
+    quenched = np.concatenate(quenched) if quenched else None
+    del graphs, seeded  # copied into the batch arrays; freeing them keeps peak memory down
+
+    bins = np.repeat(4 * np.arange(len(rngs)), n)  # block r counts into bins 4r..4r+3
+    rows = np.arange(len(rngs))  # the counts row of each block still stepping
+    prev = np.bincount(bins + states, minlength=4 * rows.size).reshape(-1, 4)
+    done = 0
+    while done < config.steps:
+        states, active = step(graph, states, active, kernel, config.dormancy, rngs, quenched)
+        row = np.bincount(bins[:states.size] + states, minlength=4 * rows.size).reshape(-1, 4)
+        counts[rows, done] = row
+        done += 1
+        absorbed = (row == prev).all(axis=1)
+        if absorbed.any():
+            absorbed &= ~can_fire(graph, states, active, kernel, rows.size)
+        prev = row
+        if not absorbed.any():
+            continue
+        counts[rows[absorbed], done:] = row[absorbed, None]
+        absorbed_at[rows[absorbed]] = done
+        keep = ~absorbed
+        if not keep.any():
+            return
+        nodes = np.repeat(keep, n)
+        states, active = states[nodes], active[nodes]
+        if quenched is not None:
+            quenched = quenched[nodes]
+        rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+        rows, prev = rows[keep], prev[keep]
+        graph = _keep_blocks(graph, keep)
+    absorbed_at[rows] = done
+
+
+def _block_layer(nbrs: np.ndarray, shift: np.ndarray, kind: str) -> Layer:
+    """(t, R, n) per-block neighbor ids, moved in place by shift[r]·n in block r,
+    as one layer on R·n nodes."""
+    t, blocks, n = nbrs.shape
+    nbrs += (shift * n).astype(nbrs.dtype)[:, None]
+    return Layer(kind=kind, nbrs=nbrs.reshape(t, blocks * n).T)
+
+
+def _disjoint_union(graphs: list[MultiplexGraph]) -> MultiplexGraph:
+    """The graphs side by side, graph r on nodes r·n .. (r+1)·n - 1; a lone
+    graph is itself."""
+    if len(graphs) == 1:
+        return graphs[0]
+
+    def union(layers: list[Layer]) -> Layer:
+        return _block_layer(np.stack([layer.nbrs.T for layer in layers], axis=1),
+                            np.arange(len(layers)), f"union of {layers[0].kind}")
+
+    layer_a = union([g.layer_a for g in graphs])
+    single = graphs[0].layer_b is graphs[0].layer_a
+    return MultiplexGraph(layer_a=layer_a,
+                          layer_b=layer_a if single else union([g.layer_b for g in graphs]))
+
+
+def _keep_blocks(graph: MultiplexGraph, keep: np.ndarray) -> MultiplexGraph:
+    """The blocks of a disjoint union where `keep` is True, renumbered to close
+    the gaps."""
+    shift = np.arange(np.count_nonzero(keep)) - np.flatnonzero(keep)
+
+    def compact(layer: Layer) -> Layer:
+        nbrs = layer.nbrs.T.reshape(layer.t, keep.size, -1)[:, keep]
+        return _block_layer(nbrs, shift, layer.kind)
+
+    layer_a = compact(graph.layer_a)
+    single = graph.layer_b is graph.layer_a
+    return MultiplexGraph(layer_a=layer_a,
+                          layer_b=layer_a if single else compact(graph.layer_b))

@@ -1,9 +1,12 @@
-"""Adoption probabilities, the A/B choice split, thresholds, and dormancy rates.
+"""Kernel and dormancy parameters, node states, and the one definition of the
+adoption term.
 
-All functions here are pure. Node states are small ints shared with the engine:
-NAIVE, STATE_A, STATE_B, STATE_AB. Each contagion contributes a saturating term
-(density / K)^alpha to the adoption odds; a node that already carries a
-contagion has that contagion's term switched off by its indicator.
+Node states are small ints shared with the engine: NAIVE, STATE_A, STATE_B,
+STATE_AB. Each contagion contributes a saturating term (density / K)^alpha to
+the adoption odds; a node that already carries a contagion has that
+contagion's term switched off by its indicator. The engine evaluates the terms
+once per parameter set into lookup tables (`engine.step_tables`), the
+mean-field model per RK4 stage.
 """
 
 from __future__ import annotations
@@ -73,14 +76,6 @@ class DormancyParams:
         return (self.tau_a + self.tau_b) / 2.0
 
 
-@dataclass(frozen=True)
-class Densities:
-    """Fractions of active adopters among a node's neighbors, one per layer."""
-
-    dens_a: float
-    dens_b: float
-
-
 def hill_term(x: float, k: float, alpha: float) -> float:
     """(x/k)^alpha with the zero-density convention: exactly 0 whenever x == 0.
 
@@ -97,53 +92,3 @@ def hill_term(x: float, k: float, alpha: float) -> float:
 def hill_term_vec(x: np.ndarray, k: float, alpha: float) -> np.ndarray:
     """Vectorized hill_term. np.power gives 0**0 == 1, so zeros are masked explicitly."""
     return np.where(x > 0.0, np.power(x / k, alpha), 0.0)
-
-
-def adoption_probability(state: int, dens: Densities, params: KernelParams) -> float:
-    """Probability that a node in `state` adopts one (more) contagion this step.
-
-    General form: switched terms over 1 + switched terms. Dual adopters get 0;
-    in exclusive mode any prior adoption confers immunity and also gives 0.
-    """
-    has_a = state in (STATE_A, STATE_AB)
-    has_b = state in (STATE_B, STATE_AB)
-    if params.mode == EXCLUSIVE and (has_a or has_b):
-        return 0.0
-    ta = 0.0 if has_a else hill_term(dens.dens_a, params.k_a, params.alpha)
-    tb = 0.0 if has_b else hill_term(dens.dens_b, params.k_b, params.alpha)
-    tot = ta + tb
-    return tot / (1.0 + tot)
-
-
-def choose_contagion(dens: Densities, params: KernelParams, u: float) -> int:
-    """Split a naive adoption between A and B by the relative size of their terms.
-
-    Caller must guarantee at least one term is positive (a fired adoption does).
-    """
-    ta = hill_term(dens.dens_a, params.k_a, params.alpha)
-    tb = hill_term(dens.dens_b, params.k_b, params.alpha)
-    tot = ta + tb
-    if tot <= 0.0:
-        raise ValueError("choose_contagion requires at least one positive term")
-    return STATE_A if u < ta / tot else STATE_B
-
-
-def threshold_of(p: float) -> float:
-    """Threshold mu = 1 - p; adoption fires when the node's uniform draw reaches mu."""
-    return 1.0 - p
-
-
-def fires(p: float, draw: float) -> bool:
-    """True when a U[0,1) draw clears the threshold. P(fires) == p exactly, incl. p in {0, 1}."""
-    return draw >= threshold_of(p)
-
-
-def dormancy_rate(state: int, d: DormancyParams) -> float:
-    """Per-step dormancy probability for an adopter state."""
-    if state == STATE_A:
-        return d.tau_a
-    if state == STATE_B:
-        return d.tau_b
-    if state == STATE_AB:
-        return d.tau_ab
-    raise ValueError("naive nodes have no dormancy rate")

@@ -91,10 +91,12 @@ def build_rrg(n: int, degree: int, rng: np.random.Generator) -> Layer:
         if np.any(u == v):
             continue
         key = np.minimum(u, v) * n + np.maximum(u, v)
-        if np.unique(key).size != key.size:
+        key.sort()
+        if np.any(key[1:] == key[:-1]):
             continue
-        # Stable sort by source gives each node a deterministic neighbor order.
-        src = np.concatenate([u, v])
+        # Stable sort by source gives each node a deterministic neighbor order;
+        # the narrowest type that holds every id sorts fastest, in the same order.
+        src = np.concatenate([u, v]).astype(np.min_scalar_type(n - 1))
         dst = np.concatenate([v, u])
         order = np.argsort(src, kind="stable")
         nbrs = np.asfortranarray(dst[order].reshape(n, degree).astype(np.int32))

@@ -1,8 +1,12 @@
-"""Shared test fixtures: a hand-built two-layer graph of independent star groups,
-a slow per-node reference implementation of the synchronous step, a
-full-horizon realization loop that never stops at absorption, `run` outputs
-at several worker counts, and the numpy-array mean-field integrator that
-`meanfield.integrate` replaced, kept as its oracle.
+"""Shared test fixtures and oracles: a hand-built two-layer graph of independent
+star groups, the per-node scalar kernel (adoption probability, A/B choice,
+threshold, dormancy rate) and a slow per-node reference implementation of the
+synchronous step built on it, a full-horizon realization loop that never stops
+at absorption, `run` outputs at several worker counts, and three
+implementations that `src/` replaced, kept as oracles of their replacements:
+the per-iteration realization loop (`engine.run_ensemble`), the `np.unique`
+RRG sampler (`topology.build_rrg`) and the numpy-array mean-field integrator
+(`meanfield.integrate`).
 
 Each star group has 9 nodes: one target (offset 0), four layer-A sources
 (offsets 1..4) and four layer-B sources (offsets 5..8). The target's layer-A
@@ -15,10 +19,13 @@ symmetric and groups never interact.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from codiffuse.config import spec_from_dict
 from codiffuse.engine import (
+    can_fire,
     iteration_graph,
     iteration_stream,
     seed_population,
@@ -26,7 +33,7 @@ from codiffuse.engine import (
     step_with_draws,
     stream,
 )
-from codiffuse.errors import IntegrationError
+from codiffuse.errors import ConfigurationError, GraphGenerationError, IntegrationError
 from codiffuse.kernel import (
     EXCLUSIVE,
     NAIVE,
@@ -34,15 +41,13 @@ from codiffuse.kernel import (
     STATE_A,
     STATE_AB,
     STATE_B,
-    Densities,
-    adoption_probability,
-    choose_contagion,
-    dormancy_rate,
-    fires,
+    DormancyParams,
+    KernelParams,
+    hill_term,
 )
 from codiffuse.meanfield import BOUNDS_TOL, Trajectory
 from codiffuse.sweep import run_single
-from codiffuse.topology import Layer, MultiplexGraph
+from codiffuse.topology import RRG_RESTART_BUDGET, Layer, MultiplexGraph
 
 # The default mode, and the one in which every unit of a split set rebuilds the
 # set's frozen graph in its own process.
@@ -51,6 +56,64 @@ WORKER_COUNT_MODES = (
     {"graph": {"freeze_rrg": True},
      "kernel": {"adoption": "exclusive", "thresholds": "quenched"}},
 )
+
+
+@dataclass(frozen=True)
+class Densities:
+    """Fractions of active adopters among a node's neighbors, one per layer."""
+
+    dens_a: float
+    dens_b: float
+
+
+def adoption_probability(state: int, dens: Densities, params: KernelParams) -> float:
+    """Probability that a node in `state` adopts one (more) contagion this step.
+
+    General form: switched terms over 1 + switched terms. Dual adopters get 0;
+    in exclusive mode any prior adoption confers immunity and also gives 0.
+    """
+    has_a = state in (STATE_A, STATE_AB)
+    has_b = state in (STATE_B, STATE_AB)
+    if params.mode == EXCLUSIVE and (has_a or has_b):
+        return 0.0
+    ta = 0.0 if has_a else hill_term(dens.dens_a, params.k_a, params.alpha)
+    tb = 0.0 if has_b else hill_term(dens.dens_b, params.k_b, params.alpha)
+    tot = ta + tb
+    return tot / (1.0 + tot)
+
+
+def choose_contagion(dens: Densities, params: KernelParams, u: float) -> int:
+    """Split a naive adoption between A and B by the relative size of their terms.
+
+    Caller must guarantee at least one term is positive (a fired adoption does).
+    """
+    ta = hill_term(dens.dens_a, params.k_a, params.alpha)
+    tb = hill_term(dens.dens_b, params.k_b, params.alpha)
+    tot = ta + tb
+    if tot <= 0.0:
+        raise ValueError("choose_contagion requires at least one positive term")
+    return STATE_A if u < ta / tot else STATE_B
+
+
+def threshold_of(p: float) -> float:
+    """Threshold mu = 1 - p; adoption fires when the node's uniform draw reaches mu."""
+    return 1.0 - p
+
+
+def fires(p: float, draw: float) -> bool:
+    """True when a U[0,1) draw clears the threshold. P(fires) == p exactly, incl. p in {0, 1}."""
+    return draw >= threshold_of(p)
+
+
+def dormancy_rate(state: int, d: DormancyParams) -> float:
+    """Per-step dormancy probability for an adopter state."""
+    if state == STATE_A:
+        return d.tau_a
+    if state == STATE_B:
+        return d.tau_b
+    if state == STATE_AB:
+        return d.tau_ab
+    raise ValueError("naive nodes have no dormancy rate")
 
 
 def star_groups(n_groups: int) -> MultiplexGraph:
@@ -144,6 +207,69 @@ def full_horizon_run(config, iteration: int) -> np.ndarray:
                               rng, quenched)
         counts[t] = np.bincount(states, minlength=4)
     return counts
+
+
+def reference_run(config, iteration: int = 0,
+                  graph: MultiplexGraph | None = None) -> tuple[np.ndarray, int]:
+    """One realization stepped alone: `run_ensemble`'s row for `iteration` as
+    `(counts, absorbed_at)`, from the per-iteration loop it replaced (absorption
+    tested after every step that left the count row unchanged)."""
+    rng = iteration_stream(config, iteration)
+    if graph is None:
+        graph = iteration_graph(config, rng)
+    states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
+    quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
+
+    counts = np.empty((config.steps, 4), dtype=np.int64)
+    prev = np.bincount(states, minlength=4)
+    done = 0
+    while done < config.steps:
+        states, active = step(graph, states, active, config.kernel, config.dormancy,
+                              rng, quenched)
+        row = counts[done]
+        row[:] = np.bincount(states, minlength=4)
+        done += 1
+        if np.array_equal(row, prev) and not can_fire(graph, states, active, config.kernel):
+            break
+        prev = row
+    counts[done:] = counts[done - 1]
+    return counts, done
+
+
+def reference_ensemble(config, iterations: range) -> tuple[np.ndarray, np.ndarray]:
+    """`run_ensemble` as one `reference_run` per iteration, sharing a frozen graph."""
+    graph = iteration_graph(config, None) if config.freeze_rrg else None
+    counts = np.empty((len(iterations), config.steps, 4), dtype=np.int64)
+    absorbed_at = np.empty(len(iterations), dtype=np.int64)
+    for row, i in enumerate(iterations):
+        counts[row], absorbed_at[row] = reference_run(config, i, graph=graph)
+    return counts, absorbed_at
+
+
+def reference_build_rrg(n: int, degree: int, rng: np.random.Generator) -> Layer:
+    """`topology.build_rrg` with the duplicate test through `np.unique` and the
+    stable argsort on int64 sources."""
+    if degree < 1 or degree >= n:
+        raise ConfigurationError(f"need 1 <= degree < n, got degree={degree}, n={n}")
+    if (n * degree) % 2 != 0:
+        raise ConfigurationError(f"n*degree must be even, got n={n}, degree={degree}")
+    stubs = np.repeat(np.arange(n, dtype=np.int64), degree)
+    for _ in range(RRG_RESTART_BUDGET):
+        perm = rng.permutation(stubs)
+        u, v = perm[0::2], perm[1::2]
+        if np.any(u == v):
+            continue
+        key = np.minimum(u, v) * n + np.maximum(u, v)
+        if np.unique(key).size != key.size:
+            continue
+        src = np.concatenate([u, v])
+        dst = np.concatenate([v, u])
+        order = np.argsort(src, kind="stable")
+        nbrs = np.asfortranarray(dst[order].reshape(n, degree).astype(np.int32))
+        return Layer(kind=f"rrg(degree={degree})", nbrs=nbrs)
+    raise GraphGenerationError(
+        f"stub pairing failed {RRG_RESTART_BUDGET} times (n={n}, degree={degree})"
+    )
 
 
 def run_outputs_by_workers(tmp_path, raw: dict) -> list[list[tuple[dict, dict]]]:

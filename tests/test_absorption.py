@@ -20,11 +20,11 @@ from codiffuse.kernel import (
     STATE_B,
     DormancyParams,
     KernelParams,
-    adoption_probability,
 )
 from codiffuse.topology import Layer, MultiplexGraph, build_lattice, build_rrg
 
 from _harness import (
+    adoption_probability,
     full_horizon_run,
     node_densities,
     reference_step,

@@ -31,15 +31,13 @@ from codiffuse.kernel import (
     STATE_A,
     STATE_AB,
     STATE_B,
-    Densities,
     DormancyParams,
     KernelParams,
-    adoption_probability,
 )
 from codiffuse.meanfield import MeanFieldParams, MeanFieldState, integrate
 from codiffuse.sweep import sweep
 
-from _harness import empirical_adoption_freq, star_groups
+from _harness import Densities, adoption_probability, empirical_adoption_freq, star_groups
 
 N_REF = 6400
 A_COL = CATEGORIES.index("a")

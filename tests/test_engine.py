@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import codiffuse.engine as engine
 from codiffuse.engine import (
     RunConfig,
     iteration_graph,
@@ -30,6 +33,7 @@ from codiffuse.topology import MultiplexGraph, build_lattice, build_rrg
 from _harness import (
     empirical_adoption_freq,
     group_states,
+    reference_ensemble,
     reference_step,
     run_outputs_by_workers,
     star_groups,
@@ -270,3 +274,81 @@ class TestEnsemble:
             run_ensemble(small_config(), 0)
         with pytest.raises(ConfigurationError):
             run_ensemble(small_config(), range(3, 3))
+
+
+BATCH_MODES = {
+    "default": ({}, {}),
+    "exclusive": ({"mode": EXCLUSIVE}, {}),
+    "quenched": ({"threshold_mode": QUENCHED}, {}),
+    "single": ({}, {"graph_mode": "single"}),
+    "freeze_rrg": ({}, {"freeze_rrg": True}),
+    "combined": ({"mode": EXCLUSIVE, "threshold_mode": QUENCHED}, {"freeze_rrg": True}),
+}
+# name -> (alpha, tau_a, tau_b, side, steps): iterations that absorb at
+# different steps, so blocks leave a batch one by one, and ones that never do.
+BATCH_POINTS = {
+    "absorbs": (0.8, 0.03, 0.05, 8, 120),
+    "never": (2.0, 0.0, 0.0, 16, 40),
+}
+BATCH_RANGES = (range(1), range(3), range(8), range(1, 8, 3), range(5, 8), range(2, 3))
+
+
+def batch_config(point: str, mode: str, master_seed: int = 31) -> RunConfig:
+    alpha, tau_a, tau_b, side, steps = BATCH_POINTS[point]
+    kernel_kw, graph_kw = BATCH_MODES[mode]
+    return RunConfig(kernel=KernelParams(alpha=alpha, **kernel_kw),
+                     dormancy=DormancyParams(tau_a, tau_b), side=side, steps=steps,
+                     master_seed=master_seed, **graph_kw)
+
+
+class TestBatching:
+    """`run_ensemble` steps a batch of iterations on the disjoint union of their
+    graphs; every row must equal the iteration stepped alone."""
+
+    @pytest.mark.parametrize("point", sorted(BATCH_POINTS))
+    @pytest.mark.parametrize("mode", sorted(BATCH_MODES))
+    def test_rows_equal_iterations_stepped_alone(self, point, mode):
+        cfg = batch_config(point, mode)
+        for indices in BATCH_RANGES:
+            counts, absorbed_at = run_ensemble(cfg, indices)
+            exp_counts, exp_absorbed_at = reference_ensemble(cfg, indices)
+            assert counts.tobytes() == exp_counts.tobytes()
+            assert absorbed_at.tobytes() == exp_absorbed_at.tobytes()
+        if point == "never":
+            assert (absorbed_at == cfg.steps).all()
+        else:  # blocks left the eight-iteration batch at different steps
+            _, absorbed_at = run_ensemble(cfg, 8)
+            assert len(set(absorbed_at[absorbed_at < cfg.steps].tolist())) >= 3
+
+    @pytest.mark.parametrize("mode", sorted(BATCH_MODES))
+    def test_batch_cap_does_not_change_rows(self, mode, monkeypatch):
+        cfg = batch_config("absorbs", mode)
+        counts, absorbed_at = run_ensemble(cfg, range(1, 8))
+        for per_batch in (1, 2, 3):
+            monkeypatch.setattr(engine, "BATCH_NODES", per_batch * cfg.n)
+            capped_counts, capped_absorbed_at = run_ensemble(cfg, range(1, 8))
+            assert capped_counts.tobytes() == counts.tobytes()
+            assert capped_absorbed_at.tobytes() == absorbed_at.tobytes()
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(mode=st.sampled_from(sorted(BATCH_MODES)), seed=st.integers(0, 2**31),
+           alpha=st.floats(0.0, 2.0), tau_a=st.floats(0.0, 0.3), tau_b=st.floats(0.0, 0.3),
+           side=st.integers(4, 7), steps=st.integers(1, 60), start=st.integers(0, 5),
+           stride=st.integers(1, 3), size=st.integers(1, 8), per_batch=st.integers(1, 9))
+    def test_any_unit_equals_its_iterations_stepped_alone(self, mode, seed, alpha, tau_a,
+                                                          tau_b, side, steps, start, stride,
+                                                          size, per_batch):
+        kernel_kw, graph_kw = BATCH_MODES[mode]
+        cfg = RunConfig(kernel=KernelParams(alpha=alpha, **kernel_kw),
+                        dormancy=DormancyParams(tau_a, tau_b), side=side, steps=steps,
+                        master_seed=seed, **graph_kw)
+        indices = range(start, start + stride * size, stride)
+        cap = engine.BATCH_NODES
+        engine.BATCH_NODES = per_batch * cfg.n
+        try:
+            counts, absorbed_at = run_ensemble(cfg, indices)
+        finally:
+            engine.BATCH_NODES = cap
+        exp_counts, exp_absorbed_at = reference_ensemble(cfg, indices)
+        assert counts.tobytes() == exp_counts.tobytes()
+        assert absorbed_at.tobytes() == exp_absorbed_at.tobytes()

@@ -13,15 +13,18 @@ from codiffuse.kernel import (
     STATE_A,
     STATE_AB,
     STATE_B,
-    Densities,
     DormancyParams,
     KernelParams,
+    hill_term,
+    hill_term_vec,
+)
+
+from _harness import (
+    Densities,
     adoption_probability,
     choose_contagion,
     dormancy_rate,
     fires,
-    hill_term,
-    hill_term_vec,
     threshold_of,
 )
 

@@ -536,15 +536,16 @@ class TestCli:
         import codiffuse.engine as engine
 
         if workers > 1 and multiprocessing.get_start_method() != "fork":
-            pytest.skip("the patched engine.run reaches pool workers only when they are forked")
-        real_run = engine.run
+            pytest.skip("the patched engine.iteration_stream reaches pool workers only "
+                        "when they are forked")
+        real_stream = engine.iteration_stream
 
-        def flaky(config, iteration=0, graph=None):
+        def flaky(config, iteration):
             if iteration == 2:
                 raise RuntimeError("boom")
-            return real_run(config, iteration, graph=graph)
+            return real_stream(config, iteration)
 
-        monkeypatch.setattr(engine, "run", flaky)
+        monkeypatch.setattr(engine, "iteration_stream", flaky)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
                                    "iterations": 4, "steps": 15, "graph": {"side": 6},

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from codiffuse.engine import stream
 from codiffuse.errors import ConfigurationError, GraphGenerationError
@@ -9,6 +11,8 @@ from codiffuse.topology import (
     build_rrg,
     edgelist,
 )
+
+from _harness import reference_build_rrg
 
 
 def rc(side, r, c):
@@ -118,6 +122,28 @@ class TestRandomRegular:
         # produce it, so the budget trips and the message names the graph.
         with pytest.raises(GraphGenerationError, match="n=12, degree=11"):
             build_rrg(12, 11, stream(1, 9))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(2, 400), degree=st.integers(1, 6), seed=st.integers(0, 2**31))
+    @example(n=6400, degree=4, seed=0)
+    @example(n=256, degree=4, seed=1)
+    @example(n=100, degree=3, seed=2)
+    @example(n=36, degree=2, seed=3)
+    @example(n=12, degree=11, seed=4)  # both exhaust the restart budget
+    def test_equals_the_unique_based_sampler(self, n, degree, seed):
+        def sample(build):
+            try:
+                return build(n, degree, stream(seed, n, degree))
+            except (ConfigurationError, GraphGenerationError) as exc:
+                return type(exc), str(exc)
+
+        got, exp = sample(build_rrg), sample(reference_build_rrg)
+        if isinstance(exp, tuple):
+            assert got == exp
+        else:
+            assert got.kind == exp.kind
+            assert got.nbrs.dtype == exp.nbrs.dtype and got.nbrs.flags.f_contiguous
+            np.testing.assert_array_equal(got.nbrs, exp.nbrs)
 
 
 class TestMultiplex:

@@ -161,9 +161,10 @@ def spec_from_dict(raw: dict) -> SweepSpec:
         KernelParams(alpha=alpha, k_a=spec.k_a, k_b=spec.k_b, mode=spec.adoption,
                      threshold_mode=spec.thresholds)
     n = spec.side * spec.side
-    _require(spec.degree < n, f"graph.degree must be < node count {n}, got {spec.degree}")
-    _require((n * spec.degree) % 2 == 0,
-             f"node count * degree must be even (n={n}, degree={spec.degree})")
+    if spec.graph_mode == "multiplex":  # the RRG's rules; single mode builds none
+        _require(spec.degree < n, f"graph.degree must be < node count {n}, got {spec.degree}")
+        _require((n * spec.degree) % 2 == 0,
+                 f"node count * degree must be even (n={n}, degree={spec.degree})")
     _require(n >= 2 * spec.seeds_per_contagion,
              f"need {2 * spec.seeds_per_contagion} nodes to seed, graph has {n}")
     return spec

@@ -33,15 +33,19 @@ a block and one pass of the step code does R independent steps. Each
 iteration's stream samples its graph, seeds and quenched draws as a lone run
 would, and every step it fills its own n-slice of the adoption, choice and
 dormancy rows, so each block sees exactly the draws it would see alone.
-Counting is one bincount over the union, absorption is tested per block, and
-absorbed blocks are compacted out. Batches hold at most `BATCH_NODES` nodes
-(or one iteration), which bounds memory and changes no output.
+Counting is one bincount over the union and absorption is tested per block.
+An absorbed block leaves the batch: the batch keeps its iterations' graphs
+(every one shares the cached lattice, so only the RRGs cost memory), drops the
+absorbed ones and rebuilds the union from the rest. Batches hold at most
+`BATCH_NODES` nodes (or one iteration), which bounds memory and changes no
+output.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -328,7 +332,9 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
 
     Absorption is tested only for blocks whose step left their count row
     unchanged: an absorbed block produces such a step, so busy steps pay
-    nothing for the test. Absorbed blocks leave the population at once.
+    nothing for the test. Absorbed blocks leave the population at once: the
+    batch's graph, stream and row lists are filtered by one mask and the union
+    is rebuilt from the graphs left, so a last block steps on its own graph.
     """
     n, kernel = config.n, config.kernel
     rngs, graphs, seeded, quenched = [], [], [], []
@@ -343,7 +349,6 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
     states = np.concatenate([s for s, _ in seeded])
     active = np.concatenate([a for _, a in seeded])
     quenched = np.concatenate(quenched) if quenched else None
-    del graphs, seeded  # copied into the batch arrays; freeing them keeps peak memory down
 
     bins = np.repeat(4 * np.arange(len(rngs)), n)  # block r counts into bins 4r..4r+3
     rows = np.arange(len(rngs))  # the counts row of each block still stepping
@@ -369,46 +374,25 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
         states, active = states[nodes], active[nodes]
         if quenched is not None:
             quenched = quenched[nodes]
-        rngs = [rng for rng, kept in zip(rngs, keep) if kept]
+        rngs, graphs = list(compress(rngs, keep)), list(compress(graphs, keep))
         rows, prev = rows[keep], prev[keep]
-        graph = _keep_blocks(graph, keep)
+        graph = _disjoint_union(graphs)
     absorbed_at[rows] = done
 
 
-def _block_layer(nbrs: np.ndarray, shift: np.ndarray, kind: str) -> Layer:
-    """(t, R, n) per-block neighbor ids, moved in place by shift[r]·n in block r,
-    as one layer on R·n nodes."""
-    t, blocks, n = nbrs.shape
-    nbrs += (shift * n).astype(nbrs.dtype)[:, None]
-    return Layer(kind=kind, nbrs=nbrs.reshape(t, blocks * n).T)
-
-
 def _disjoint_union(graphs: list[MultiplexGraph]) -> MultiplexGraph:
-    """The graphs side by side, graph r on nodes r·n .. (r+1)·n - 1; a lone
-    graph is itself."""
+    """The graphs side by side, graph r on nodes r·n .. (r+1)·n - 1 with its
+    neighbor ids offset by r·n; a lone graph is itself."""
     if len(graphs) == 1:
         return graphs[0]
 
     def union(layers: list[Layer]) -> Layer:
-        return _block_layer(np.stack([layer.nbrs.T for layer in layers], axis=1),
-                            np.arange(len(layers)), f"union of {layers[0].kind}")
+        nbrs = np.stack([layer.nbrs.T for layer in layers], axis=1)  # (t, R, n)
+        t, blocks, n = nbrs.shape
+        nbrs += (np.arange(blocks, dtype=nbrs.dtype) * n)[:, None]
+        return Layer(kind=f"union of {layers[0].kind}", nbrs=nbrs.reshape(t, blocks * n).T)
 
     layer_a = union([g.layer_a for g in graphs])
     single = graphs[0].layer_b is graphs[0].layer_a
     return MultiplexGraph(layer_a=layer_a,
                           layer_b=layer_a if single else union([g.layer_b for g in graphs]))
-
-
-def _keep_blocks(graph: MultiplexGraph, keep: np.ndarray) -> MultiplexGraph:
-    """The blocks of a disjoint union where `keep` is True, renumbered to close
-    the gaps."""
-    shift = np.arange(np.count_nonzero(keep)) - np.flatnonzero(keep)
-
-    def compact(layer: Layer) -> Layer:
-        nbrs = layer.nbrs.T.reshape(layer.t, keep.size, -1)[:, keep]
-        return _block_layer(nbrs, shift, layer.kind)
-
-    layer_a = compact(graph.layer_a)
-    single = graph.layer_b is graph.layer_a
-    return MultiplexGraph(layer_a=layer_a,
-                          layer_b=layer_a if single else compact(graph.layer_b))

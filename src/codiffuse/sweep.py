@@ -154,6 +154,12 @@ def _sweep_task(spec: SweepSpec, index: int, alpha: float, tau_a: float,
     return run_ensemble(run_config_for(spec, index, alpha, tau_a, tau_b), iterations)
 
 
+def _set_inputs(tag: str) -> tuple[str, str]:
+    """The mean series and ceilings of one set, relative to the output
+    directory: what `_emit_set` writes and `analyze` reads back."""
+    return os.path.join(SERIES_DIR, f"{tag}_mean.csv"), os.path.join(CEILINGS_DIR, f"{tag}.csv")
+
+
 def _emit_set(out_dir: str, tag: str, counts: np.ndarray, per_iteration: bool,
               files: dict[str, str]) -> list[tuple]:
     """Write the files of one set's (iterations, steps, 4) counts, adding each to
@@ -165,10 +171,9 @@ def _emit_set(out_dir: str, tag: str, counts: np.ndarray, per_iteration: bool,
             files[rel] = write_series_csv(os.path.join(out_dir, rel), series)
     mean_counts = counts.mean(axis=0)
     ceilings = iteration_ceilings(counts)
-    rel = os.path.join(SERIES_DIR, f"{tag}_mean.csv")
-    files[rel] = write_series_csv(os.path.join(out_dir, rel), mean_counts)
-    rel = os.path.join(CEILINGS_DIR, f"{tag}.csv")
-    files[rel] = write_ceilings_csv(os.path.join(out_dir, rel), ceilings)
+    mean_rel, ceil_rel = _set_inputs(tag)
+    files[mean_rel] = write_series_csv(os.path.join(out_dir, mean_rel), mean_counts)
+    files[ceil_rel] = write_ceilings_csv(os.path.join(out_dir, ceil_rel), ceilings)
     files.update(_write_modality(out_dir, tag, ceilings))
     return ensemble_stats(mean_counts, ceilings)
 
@@ -326,7 +331,7 @@ def analyze(out_dir: str) -> None:
         raise AnalysisError(f"malformed manifest.json: {type(exc).__name__}: {exc}") from exc
     inputs = []
     for (i, *_), tag in zip(sets, tags):
-        rels = (os.path.join(SERIES_DIR, f"{tag}_mean.csv"), os.path.join(CEILINGS_DIR, f"{tag}.csv"))
+        rels = _set_inputs(tag)
         paths = [os.path.join(out_dir, rel) for rel in rels]
         if any(rel not in listed and not os.path.exists(path) for rel, path in zip(rels, paths)):
             continue  # a failed set, or one an aborted sweep never wrote

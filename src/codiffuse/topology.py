@@ -5,10 +5,15 @@ of neighbor ids. Rows may contain duplicates: on a side-2 lattice the periodic
 wrap maps up and down, and left and right, onto the same cell, and the duplicate
 entries are kept so every node always has exactly 4 lattice neighbor slots (the
 density denominator stays fixed). From side 3 up the four slots are distinct.
+
+Every realization on one side steps on the same lattice, so `build_lattice` is
+cached and hands out one read-only `Layer` per side; only the RRG is built per
+realization.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,10 +59,12 @@ class MultiplexGraph:
         return self.layer_a.n
 
 
+@functools.lru_cache(maxsize=64)
 def build_lattice(side: int) -> Layer:
     """Periodic square lattice on side^2 nodes; node (r, c) has index r*side + c.
 
-    Neighbors are ordered up, down, left, right with toroidal wrap.
+    Neighbors are ordered up, down, left, right with toroidal wrap. Built once
+    per side; every caller shares the one read-only `nbrs`.
     """
     if side < 2:
         raise ConfigurationError(f"lattice side must be >= 2, got {side}")
@@ -70,6 +77,7 @@ def build_lattice(side: int) -> Layer:
     right = r * side + (c + 1) % side
     # Fortran order: the engine reads one neighbor column at a time.
     nbrs = np.asfortranarray(np.stack([up, down, left, right], axis=1).astype(np.int32))
+    nbrs.flags.writeable = False  # shared by every caller through the cache
     return Layer(kind=f"lattice(side={side})", nbrs=nbrs)
 
 

@@ -16,6 +16,7 @@ from codiffuse.config import (
     spec_from_dict,
     spec_to_dict,
 )
+from codiffuse.engine import run
 from codiffuse.errors import ConfigurationError
 from codiffuse.meanfield import MAX_STEPS
 
@@ -123,6 +124,23 @@ class TestValidation:
     def test_parity_of_stub_count(self):
         with pytest.raises(ConfigurationError, match="even"):
             spec_from_dict({"graph": {"side": 3, "degree": 3}})
+
+    def test_degree_below_node_count(self):
+        with pytest.raises(ConfigurationError,
+                           match="^graph.degree must be < node count 4, got 4$"):
+            spec_from_dict({"graph": {"side": 2}})
+
+    @pytest.mark.parametrize("graph, error", [
+        ({"side": 5, "degree": 3}, "node count \\* degree must be even"),
+        ({"side": 2}, "graph.degree must be < node count 4"),
+    ])
+    def test_rrg_rules_apply_only_in_multiplex_mode(self, graph, error):
+        with pytest.raises(ConfigurationError, match=error):
+            spec_from_dict({"graph": {"mode": "multiplex", **graph}})
+        spec = spec_from_dict({"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0], "steps": 5,
+                               "graph": {"mode": "single", **graph}})
+        counts, _ = run(run_config_for(spec, *single_parameter_set(spec, "run")))
+        assert (counts.sum(axis=1) == spec.side ** 2).all()
 
     @pytest.mark.parametrize("literal, shown", [
         ("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])

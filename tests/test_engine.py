@@ -275,6 +275,15 @@ class TestEnsemble:
         with pytest.raises(ConfigurationError):
             run_ensemble(small_config(), range(3, 3))
 
+    def test_iterations_share_one_cached_lattice(self):
+        cfg = small_config(side=13, steps=120)  # a side no other test steps on
+        misses = build_lattice.cache_info().misses
+        _, absorbed_at = run_ensemble(cfg, 8)
+        assert build_lattice.cache_info().misses - misses <= 1
+        assert len(set(absorbed_at.tolist())) >= 3  # blocks left the batch one by one
+        fresh = build_lattice.__wrapped__(cfg.side)
+        assert build_lattice(cfg.side).nbrs.tobytes() == fresh.nbrs.tobytes()
+
 
 BATCH_MODES = {
     "default": ({}, {}),

@@ -59,6 +59,12 @@ class TestLattice:
         lat = build_lattice(6)
         assert lat.nbrs.size == 2 * len(undirected_edges(lat))
 
+    def test_one_read_only_lattice_per_side(self):
+        lat = build_lattice(9)
+        assert build_lattice(9) is lat
+        with pytest.raises(ValueError):
+            lat.nbrs[0, 0] = 1
+
     def test_rejects_side_below_two(self):
         with pytest.raises(ConfigurationError):
             build_lattice(1)

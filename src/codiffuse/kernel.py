@@ -80,11 +80,13 @@ def hill_term(x: float, k: float, alpha: float) -> float:
     """(x/k)^alpha with the zero-density convention: exactly 0 whenever x == 0.
 
     The convention covers alpha == 0 too, so a node with no active sources can
-    never adopt spontaneously. math.pow raises ValueError on a negative x with
-    a fractional alpha (where ** returns a complex number or NaN) and
-    OverflowError on overflow.
+    never adopt spontaneously. A negative x raises ValueError at every alpha:
+    math.pow would accept it with an integral alpha and return a real number
+    for a density that does not exist. Overflow raises OverflowError.
     """
-    if x == 0.0:
+    if x <= 0.0:
+        if x < 0.0:
+            raise ValueError(f"negative density {x!r}")
         return 0.0
     return math.pow(x / k, alpha)
 

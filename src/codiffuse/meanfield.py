@@ -68,11 +68,12 @@ def mf_rates(state, params: MeanFieldParams) -> tuple[float, ...]:
     fractions, as a tuple of floats; components sum to 0."""
     x_a, x_b, x_ab, x_naive, _ = state
     kern, dorm = params.kernel, params.dormancy
-    ta = hill_term(x_a + x_ab, kern.k_a, kern.alpha)
-    tb = hill_term(x_b + x_ab, kern.k_b, kern.alpha)
+    alpha = kern.alpha
+    ta = hill_term(x_a + x_ab, kern.k_a, alpha)
+    tb = hill_term(x_b + x_ab, kern.k_b, alpha)
     tot = ta + tb
-    p_naive = tot / (1.0 + tot)
     if tot > 0.0:
+        p_naive = tot / (1.0 + tot)
         f_a = x_naive * p_naive * (ta / tot)
         f_b = x_naive * p_naive * (tb / tot)
     else:
@@ -103,35 +104,45 @@ class Trajectory:
 def integrate(initial: MeanFieldState, params: MeanFieldParams) -> Trajectory:
     """Classical fixed-step 4th-order integration to the horizon, on Python floats.
 
-    The horizon is rounded to a whole number of steps. Each stage is built
-    element by element with the operations, in the order, that whole-array RK4
-    on 5-element numpy arrays runs, so the trajectory is bit-identical to it.
-    Raises IntegrationError (shrink h) at the first step whose state leaves
-    [0, 1] by more than 1e-6, or one of whose stages gives hill_term a negative
-    density or overflows its power, in either adoption mode.
+    The horizon is rounded to a whole number of steps. The state is five local
+    floats, and each stage is built component by component with the operations,
+    in the order, that whole-array RK4 on 5-element numpy arrays runs, so the
+    trajectory is bit-identical to it. Raises IntegrationError (shrink h) at the
+    first step whose state leaves [0, 1] by more than 1e-6 or turns NaN, or one
+    of whose stages gives hill_term a negative density (at any alpha) or
+    overflows its power, in either adoption mode.
     """
     n_steps = max(1, round(params.horizon / params.h))
     h = params.h
     half, sixth = 0.5 * h, h / 6.0
+    lo, hi = -BOUNDS_TOL, 1.0 + BOUNDS_TOL
     out = np.empty((n_steps + 1, 5))
     out[0] = initial.as_array()
-    y = out[0].tolist()
+    y = y0, y1, y2, y3, y4 = out[0].tolist()
     for k in range(1, n_steps + 1):
         try:
-            k1 = mf_rates(y, params)
-            k2 = mf_rates([a + half * d for a, d in zip(y, k1)], params)
-            k3 = mf_rates([a + half * d for a, d in zip(y, k2)], params)
-            k4 = mf_rates([a + h * d for a, d in zip(y, k3)], params)
-            y = [a + sixth * (((d1 + 2.0 * d2) + 2.0 * d3) + d4)
-                 for a, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
-            inside = all(-BOUNDS_TOL <= v <= 1.0 + BOUNDS_TOL for v in y)
-        except (ValueError, ArithmeticError):  # pow off its domain, overflow, zero divisor
+            d1 = mf_rates(y, params)
+            d2 = mf_rates((y0 + half * d1[0], y1 + half * d1[1], y2 + half * d1[2],
+                           y3 + half * d1[3], y4 + half * d1[4]), params)
+            d3 = mf_rates((y0 + half * d2[0], y1 + half * d2[1], y2 + half * d2[2],
+                           y3 + half * d2[3], y4 + half * d2[4]), params)
+            d4 = mf_rates((y0 + h * d3[0], y1 + h * d3[1], y2 + h * d3[2],
+                           y3 + h * d3[3], y4 + h * d3[4]), params)
+        except (ValueError, ArithmeticError):  # a negative density, an overflowing power
             inside = False
+        else:
+            y0 += sixth * (((d1[0] + 2.0 * d2[0]) + 2.0 * d3[0]) + d4[0])
+            y1 += sixth * (((d1[1] + 2.0 * d2[1]) + 2.0 * d3[1]) + d4[1])
+            y2 += sixth * (((d1[2] + 2.0 * d2[2]) + 2.0 * d3[2]) + d4[2])
+            y3 += sixth * (((d1[3] + 2.0 * d2[3]) + 2.0 * d3[3]) + d4[3])
+            y4 += sixth * (((d1[4] + 2.0 * d2[4]) + 2.0 * d3[4]) + d4[4])
+            inside = (lo <= y0 <= hi and lo <= y1 <= hi and lo <= y2 <= hi
+                      and lo <= y3 <= hi and lo <= y4 <= hi)
         if not inside:
             raise IntegrationError(
                 f"state left [0,1] at t={k * h:.6g} (h={h}); reduce the step size"
             )
-        out[k] = y
+        out[k] = y = y0, y1, y2, y3, y4
     times = np.arange(n_steps + 1) * h
     return Trajectory(times=times, states=out)
 
@@ -139,5 +150,5 @@ def integrate(initial: MeanFieldState, params: MeanFieldParams) -> Trajectory:
 def trajectory_csv(traj: Trajectory) -> str:
     """CSV text: t,x_a,x_b,x_ab,x_naive,x_r."""
     rows = (f"{t:.6f}," + ",".join(f"{x:.9f}" for x in row) + "\n"
-            for t, row in zip(traj.times, traj.states))
+            for t, row in zip(traj.times.tolist(), traj.states.tolist()))
     return "t," + ",".join(COMPONENTS) + "\n" + "".join(rows)

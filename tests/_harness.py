@@ -291,12 +291,14 @@ def run_outputs_by_workers(tmp_path, raw: dict) -> list[list[tuple[dict, dict]]]
 
 
 def _reference_rates(state: np.ndarray, params) -> np.ndarray:
-    """`mf_rates` on numpy scalars: a negative density gives a NaN term (with a
-    RuntimeWarning), which exclusive mode's `tot > 0.0` test drops."""
+    """`mf_rates` on numpy scalars. A negative density raises ValueError at
+    every alpha, as `kernel.hill_term` does."""
     x_a, x_b, x_ab, x_naive, _ = state
     kern, dorm = params.kernel, params.dormancy
 
     def hill(x, k):
+        if x < 0.0:
+            raise ValueError(f"negative density {x!r}")
         return 0.0 if x == 0.0 else (x / k) ** kern.alpha
 
     ta = hill(x_a + x_ab, kern.k_a)
@@ -333,12 +335,17 @@ def reference_integrate(initial, params) -> Trajectory:
     out = np.empty((n_steps + 1, 5))
     out[0] = y
     for k in range(1, n_steps + 1):
-        k1 = _reference_rates(y, params)
-        k2 = _reference_rates(y + 0.5 * h * k1, params)
-        k3 = _reference_rates(y + 0.5 * h * k2, params)
-        k4 = _reference_rates(y + h * k3, params)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all((y >= -BOUNDS_TOL) & (y <= 1.0 + BOUNDS_TOL)):
+        try:
+            k1 = _reference_rates(y, params)
+            k2 = _reference_rates(y + 0.5 * h * k1, params)
+            k3 = _reference_rates(y + 0.5 * h * k2, params)
+            k4 = _reference_rates(y + h * k3, params)
+        except ValueError:  # a negative density
+            inside = False
+        else:
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            inside = np.all((y >= -BOUNDS_TOL) & (y <= 1.0 + BOUNDS_TOL))
+        if not inside:
             raise IntegrationError(
                 f"state left [0,1] at t={k * h:.6g} (h={h}); reduce the step size"
             )

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
+from codiffuse import meanfield
 from codiffuse.cli import main
 from codiffuse.errors import ConfigurationError, IntegrationError
 from codiffuse.kernel import EXCLUSIVE, INCLUSIVE, DormancyParams, KernelParams
 from codiffuse.meanfield import (
+    COMPONENTS,
     MAX_STEPS,
     MeanFieldParams,
     MeanFieldState,
@@ -116,12 +118,32 @@ class TestIntegrate:
         with pytest.raises(IntegrationError, match=r"at t=3 \(h=3\.0\); reduce the step size"):
             integrate(MeanFieldState(0.1, 0.1, 0.0, 0.8, 0.0), params)
 
+    def test_integral_alpha_negative_stage_reported_at_its_step(self):
+        # math.pow takes a negative base with an integral exponent, so only
+        # hill_term's own check stops this stage; alpha 0 would give 1.0.
+        with pytest.raises(IntegrationError, match=r"at t=2 \(h=2\.0\); reduce the step size"):
+            integrate(seeded_state(), mfp(2.0, 0.9, 0.9, h=2.0))
+
+    def test_four_rates_and_eight_hill_terms_per_step(self, monkeypatch):
+        # bench/tracer.py counts these calls through the module globals, so
+        # inlining either one would change the traced call counts.
+        calls = {"mf_rates": 0, "hill_term": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(meanfield, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(meanfield, name, counted)
+        n_steps = 37
+        integrate(seeded_state(), mfp(1.2, 0.0, 0.02, h=0.5, horizon=n_steps * 0.5))
+        assert calls == {"mf_rates": 4 * n_steps, "hill_term": 8 * n_steps}
+
     @pytest.mark.parametrize("raw, t", [
         ({"alpha": [0.3], "tau_a": [0.5], "tau_b": [0.25],
           "kernel": {"adoption": "exclusive"}, "meanfield": {"h": 4.0}}, "4"),
+        ({"alpha": [2.0], "tau_a": [0.9], "tau_b": [0.9], "meanfield": {"h": 2.0}}, "2"),
         ({"alpha": [1.6], "tau_a": [0.0], "tau_b": [0.0],
           "meanfield": {"h": 1e300, "horizon": 1e300}}, "1e+300"),
-    ], ids=["exclusive-negative-stage", "overflowing-stage"])
+    ], ids=["exclusive-negative-stage", "integral-alpha-negative-stage", "overflowing-stage"])
     def test_failing_stage_exits_three_and_writes_nothing(self, tmp_path, capsys, raw, t):
         cfg = tmp_path / "mf.json"
         cfg.write_text(json.dumps(raw))
@@ -131,8 +153,8 @@ class TestIntegrate:
         assert not (out / "meanfield.csv").exists()
 
     def test_nan_state_exits_three_and_writes_nothing(self, tmp_path, capsys):
-        # An RK stage goes negative, so hill_term's fractional power fails,
-        # which must be reported like any overshoot.
+        # An RK stage goes negative, so hill_term fails, which must be
+        # reported like any overshoot.
         cfg = tmp_path / "mf.json"
         cfg.write_text(json.dumps({"alpha": [0.3], "tau_a": [0.5], "tau_b": [0.25],
                                    "meanfield": {"h": 5.0}}))
@@ -210,3 +232,11 @@ class TestTrajectoryCsv:
             "0.000000,0.000156250,0.000156250,0.000000000,0.999687500,0.000000000\n"
             "0.500000,0.000199594,0.000198598,0.000000016,0.999599141,0.000002651\n"
             "1.000000,0.000254954,0.000252417,0.000000041,0.999486562,0.000006026\n")
+
+    def test_matches_numpy_scalar_formatting(self):
+        # Rows are formatted from Python floats; numpy scalars gave the same text.
+        traj = integrate(seeded_state(), mfp(1.2, 0.0, 0.02))
+        rows = "".join(f"{t:.6f}," + ",".join(f"{x:.9f}" for x in row) + "\n"
+                       for t, row in zip(traj.times, traj.states))
+        assert traj.times.size == 7001
+        assert trajectory_csv(traj) == "t," + ",".join(COMPONENTS) + "\n" + rows

@@ -16,6 +16,7 @@ from .engine import DEFAULT_SEED, RunConfig
 from .errors import ConfigurationError
 from .kernel import ANNEALED, EXCLUSIVE, INCLUSIVE, QUENCHED, DormancyParams, KernelParams
 from .meanfield import MAX_STEPS
+from .topology import MAX_NODES
 
 DEFAULT_ALPHAS = [round(0.1 * i, 10) for i in range(14)]
 DEFAULT_TAUS = [round(0.01 * i, 10) for i in range(11)]
@@ -161,6 +162,9 @@ def spec_from_dict(raw: dict) -> SweepSpec:
         KernelParams(alpha=alpha, k_a=spec.k_a, k_b=spec.k_b, mode=spec.adoption,
                      threshold_mode=spec.thresholds)
     n = spec.side * spec.side
+    _require(n <= MAX_NODES,
+             f"graph.side must be <= {math.isqrt(MAX_NODES)} (node count <= {MAX_NODES}), "
+             f"got {spec.side}")
     if spec.graph_mode == "multiplex":  # the RRG's rules; single mode builds none
         _require(spec.degree < n, f"graph.degree must be < node count {n}, got {spec.degree}")
         _require((n * spec.degree) % 2 == 0,

@@ -16,9 +16,10 @@ A step therefore looks those up in tables built once per parameter set
 (`step_tables`), with the same float operations a per-node kernel evaluation
 would do, so every comparison sees the same bits.
 
-Randomness is counter-based (Philox) and addressed by
-(master_seed, param_index, stream, iteration), so any iteration of any parameter
-set can be reproduced bit-exactly from any process or worker count.
+Each random stream is a Philox generator seeded from
+SeedSequence((master_seed, param_index, stream, iteration)): the address is the
+seed, not Philox's counter. So any iteration of any parameter set can be
+reproduced bit-exactly from any process or worker count.
 
 A realization stops at absorption: once no node can fire, no state can change
 again (adoption never turns activity on and dormancy only turns it off, so

@@ -42,9 +42,10 @@ class KernelParams:
     threshold_mode: str = ANNEALED
 
     def __post_init__(self):
-        if self.alpha < 0:
+        # Each comparison is written so that NaN fails it.
+        if not self.alpha >= 0:
             raise ConfigurationError(f"alpha must be >= 0, got {self.alpha}")
-        if self.k_a <= 0 or self.k_b <= 0:
+        if not (self.k_a > 0 and self.k_b > 0):
             raise ConfigurationError(f"k_a and k_b must be > 0, got {self.k_a}, {self.k_b}")
         if self.mode not in (INCLUSIVE, EXCLUSIVE):
             raise ConfigurationError(f"unknown adoption mode {self.mode!r}")

@@ -54,11 +54,12 @@ class MeanFieldParams:
     horizon: float = 700.0
 
     def __post_init__(self):
-        if self.h <= 0:
+        # Each comparison is written so that NaN fails it.
+        if not self.h > 0:
             raise ConfigurationError(f"step size h must be > 0, got {self.h}")
-        if self.horizon < self.h:
+        if not self.horizon >= self.h:
             raise ConfigurationError("horizon must be at least one step")
-        if self.horizon / self.h > MAX_STEPS:  # a float compare, so an infinite ratio fails too
+        if not self.horizon / self.h <= MAX_STEPS:  # an infinite ratio fails too
             raise ConfigurationError(
                 f"horizon / h must be <= {MAX_STEPS} steps, got {self.horizon / self.h}")
 

@@ -22,6 +22,10 @@ from .errors import ConfigurationError, GraphGenerationError
 
 RRG_RESTART_BUDGET = 1000
 
+# Neighbor ids are int32, so a layer holds at most this many nodes (a lattice
+# side of at most 46340).
+MAX_NODES = 2**31 - 1
+
 
 @dataclass(frozen=True, eq=False)
 class Layer:
@@ -69,6 +73,8 @@ def build_lattice(side: int) -> Layer:
     if side < 2:
         raise ConfigurationError(f"lattice side must be >= 2, got {side}")
     n = side * side
+    if n > MAX_NODES:
+        raise ConfigurationError(f"lattice side {side} gives {n} nodes, more than {MAX_NODES}")
     idx = np.arange(n)
     r, c = idx // side, idx % side
     up = ((r - 1) % side) * side + c
@@ -88,6 +94,8 @@ def build_rrg(n: int, degree: int, rng: np.random.Generator) -> Layer:
     on any self-loop or duplicate edge, so accepted graphs are uniform over
     simple d-regular pairings. At degree 4 roughly 1 in 42 attempts succeeds.
     """
+    if n > MAX_NODES:
+        raise ConfigurationError(f"n must be <= {MAX_NODES}, got {n}")
     if degree < 1 or degree >= n:
         raise ConfigurationError(f"need 1 <= degree < n, got degree={degree}, n={n}")
     if (n * degree) % 2 != 0:

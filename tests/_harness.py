@@ -49,10 +49,12 @@ from codiffuse.meanfield import BOUNDS_TOL, Trajectory
 from codiffuse.sweep import run_single
 from codiffuse.topology import RRG_RESTART_BUDGET, Layer, MultiplexGraph
 
-# The default mode, and the one in which every unit of a split set rebuilds the
-# set's frozen graph in its own process.
+# The default mode, the single-layer mode (whose batches union one shared
+# lattice), and the one in which every unit of a split set rebuilds the set's
+# frozen graph in its own process.
 WORKER_COUNT_MODES = (
     {},
+    {"graph": {"mode": "single"}},
     {"graph": {"freeze_rrg": True},
      "kernel": {"adoption": "exclusive", "thresholds": "quenched"}},
 )

@@ -130,6 +130,13 @@ class TestValidation:
                            match="^graph.degree must be < node count 4, got 4$"):
             spec_from_dict({"graph": {"side": 2}})
 
+    def test_node_count_fits_int32_neighbor_ids(self):
+        # 46341^2 > 2^31 - 1, so its neighbor ids would wrap negative.
+        for mode in ("multiplex", "single"):
+            with pytest.raises(ConfigurationError, match="^graph.side must be <= 46340 "):
+                spec_from_dict({"graph": {"side": 46341, "mode": mode}})
+        assert spec_from_dict({"graph": {"side": 46340}}).side == 46340
+
     @pytest.mark.parametrize("graph, error", [
         ({"side": 5, "degree": 3}, "node count \\* degree must be even"),
         ({"side": 2}, "graph.degree must be < node count 4"),

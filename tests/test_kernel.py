@@ -167,6 +167,15 @@ class TestParamValidation:
         with pytest.raises(ConfigurationError):
             KernelParams(alpha=1.0, k_a=0.0)
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"alpha": math.nan}, "alpha must be >= 0, got nan"),
+        ({"alpha": 1.0, "k_a": math.nan}, "k_a and k_b must be > 0, got nan, 2.0"),
+        ({"alpha": 1.0, "k_b": math.nan}, "k_a and k_b must be > 0, got 2.0, nan"),
+    ], ids=["alpha", "k_a", "k_b"])
+    def test_nan_rejected_with_its_own_message(self, kw, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            KernelParams(**kw)
+
     def test_unknown_modes_rejected(self):
         with pytest.raises(ConfigurationError):
             KernelParams(alpha=1.0, mode="both")

@@ -182,6 +182,14 @@ class TestIntegrate:
                 mfp(1.0, 0.0, 0.0, h=h)
         assert mfp(1.0, 0.0, 0.0, h=1.0, horizon=float(MAX_STEPS)).horizon == MAX_STEPS
 
+    @pytest.mark.parametrize("kw, message", [
+        ({"h": float("nan")}, "step size h must be > 0, got nan"),
+        ({"horizon": float("nan")}, "horizon must be at least one step"),
+    ], ids=["h", "horizon"])
+    def test_nan_step_size_or_horizon_rejected(self, kw, message):
+        with pytest.raises(ConfigurationError, match=f"^{message}$"):
+            mfp(1.0, 0.0, 0.0, **kw)
+
 
 class TestMatchesArrayIntegrator:
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)

@@ -383,7 +383,9 @@ class TestCli:
          "must be <= 10000000 steps, got 700000000000000.0"),
         ("meanfield", {"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
                        "meanfield": {"h": 5e-324}}, "must be <= 10000000 steps, got inf"),
-    ], ids=["kernel-overflow", "mf-h-1e-12", "mf-h-5e-324"])
+        ("graph-dump", {"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
+                        "graph": {"side": 2147483648}}, "graph.side must be <= 46340"),
+    ], ids=["kernel-overflow", "mf-h-1e-12", "mf-h-5e-324", "graph-side-2147483648"])
     def test_load_time_rule_exits_two_and_writes_nothing(self, tmp_path, command, raw, message):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
@@ -403,7 +405,7 @@ class TestCli:
         (mean,) = (out / "series").glob("*_mean.csv")
         assert read_series_csv(str(mean))[-1].tolist() == [0.0, 0.0, 0.0, 64.0]
 
-    def test_missing_config_file_is_config_error(self, tmp_path):
+    def test_missing_config_file_exits_three_and_non_json_exits_two(self, tmp_path):
         proc = cli("run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path))
         assert proc.returncode == 3  # unreadable input surfaces as OSError
         proc = cli("run", "--config", __file__, "--out", str(tmp_path))

@@ -69,6 +69,10 @@ class TestLattice:
         with pytest.raises(ConfigurationError):
             build_lattice(1)
 
+    def test_rejects_more_nodes_than_int32_ids_hold(self):
+        with pytest.raises(ConfigurationError, match="more than 2147483647"):
+            build_lattice(2**31)
+
     def test_bfs_matches_toroidal_manhattan(self):
         side = 9
         lat = build_lattice(side)
@@ -106,6 +110,10 @@ class TestRandomRegular:
     def test_degree_must_be_below_n(self):
         with pytest.raises(ConfigurationError):
             build_rrg(4, 4, stream(7, 3))
+
+    def test_rejects_more_nodes_than_int32_ids_hold(self):
+        with pytest.raises(ConfigurationError, match="n must be <= 2147483647"):
+            build_rrg(2**62, 4, stream(7, 3))
 
     def test_hundred_samples_simple_and_regular(self):
         for k in range(100):

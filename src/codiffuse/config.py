@@ -71,12 +71,19 @@ def _boolean(value, path: str) -> bool:
 def _float_list(low: float, high: float | None):
     def parse(value, path: str) -> list[float]:
         _require(isinstance(value, list) and len(value) > 0, f"{path} must be a nonempty list")
-        out = []
+        out, printed = [], {}
         for i, item in enumerate(value):
             x = _number(item, f"{path}[{i}]")
             _require(x >= low, f"{path}[{i}] must be >= {low}, got {x}")
             if high is not None:
                 _require(x <= high, f"{path}[{i}] must be <= {high}, got {x}")
+            # File tags and heatmap rows print values with :g, so two values
+            # that print alike would give rows no reader can tell apart.
+            text = f"{x:g}"
+            if text in printed:
+                raise ConfigurationError(
+                    f"{path}[{i}] prints as {text}, like {path}[{printed[text]}]")
+            printed[text] = i
             out.append(x)
         return out
     return parse

@@ -24,8 +24,11 @@ reproduced bit-exactly from any process or worker count.
 A realization stops at absorption: once no node can fire, no state can change
 again (adoption never turns activity on and dormancy only turns it off, so
 carrier counts can only fall), and the remaining count rows repeat the last
-one. The skipped draws belong to that iteration's own stream and feed nothing
-else, so the series is the same as stepping the full horizon.
+one. The stop test (`can_fire`) reads the per-node active-carrier counts the
+next step reads (`neighbor_counts`, taken once per step), so it gathers nothing
+itself; it reads carrier presence, not probabilities, so it is exact for every
+alpha >= 0. The skipped draws belong to that iteration's own stream and feed
+nothing else, so the series is the same as stepping the full horizon.
 
 `run_ensemble` steps a batch of R iterations as one population of R·n nodes on
 the disjoint union of their graphs: block r holds iteration r's nodes, and its
@@ -117,14 +120,12 @@ class StepTables:
     `share[ca, cb]` the A share of a naive adoption and `rates[state]` the
     dormancy rate (0 for naive nodes). Threshold and share are flattened, so a
     node's entries sit at `key = state * share.size + cell` and
-    `cell = ca * (t_b + 1) + cb`. `index_dtype` is the narrowest unsigned type
-    that holds every key, and with it every count 0..t, without wrapping.
+    `cell = ca * (t_b + 1) + cb`.
     """
 
     threshold: np.ndarray  # (4 * (t_a + 1) * (t_b + 1),) float64
     share: np.ndarray  # ((t_a + 1) * (t_b + 1),) float64
     rates: np.ndarray  # (4,) float64
-    index_dtype: np.dtype
 
 
 @functools.lru_cache(maxsize=64)
@@ -157,8 +158,7 @@ def step_tables(kernel: KernelParams, dormancy: DormancyParams, t_a: int,
     threshold, share = threshold.ravel(), share.ravel()
     for table in (threshold, share, rates):
         table.flags.writeable = False  # shared by every caller through the cache
-    return StepTables(threshold=threshold, share=share, rates=rates,
-                      index_dtype=np.min_scalar_type(threshold.size - 1))
+    return StepTables(threshold=threshold, share=share, rates=rates)
 
 
 def seed_population(n: int, rng: np.random.Generator,
@@ -177,33 +177,34 @@ def seed_population(n: int, rng: np.random.Generator,
 
 def _neighbor_count(src: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     """Sum `src` over every node's neighbor list (column at a time: faster than
-    a 2-D gather and allocation-light). The sum has `src`'s dtype; a bool sum
-    saturates at True ("some slot holds a source")."""
+    a 2-D gather and allocation-light). The sum has `src`'s dtype."""
     acc = np.take(src, nbrs[:, 0])
     for j in range(1, nbrs.shape[1]):
         acc += np.take(src, nbrs[:, j])
     return acc
 
 
-def _carriers(states: np.ndarray, active: np.ndarray, bit: int) -> np.ndarray:
-    """Active nodes that carry the contagion with state bit `bit`."""
-    return ((states & bit) != 0) & active
+def neighbor_counts(graph: MultiplexGraph, states: np.ndarray,
+                    active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per node, the active A carriers in its layer-A slots and the active B
+    carriers in its layer-B slots, `(ca, cb)`, in the narrowest unsigned type
+    that holds every flat `StepTables` key (so no count 0..t wraps)."""
+    la, lb = graph.layer_a, graph.layer_b
+    dtype = np.min_scalar_type(4 * (la.t + 1) * (lb.t + 1) - 1)
+    return tuple(_neighbor_count((((states & bit) != 0) & active).astype(dtype), layer.nbrs)
+                 for bit, layer in ((STATE_A, la), (STATE_B, lb)))
 
 
 def step_with_draws(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
-                    kernel: KernelParams, dormancy: DormancyParams,
-                    adoption_u: np.ndarray, choice_u: np.ndarray,
+                    counts: tuple[np.ndarray, np.ndarray], kernel: KernelParams,
+                    dormancy: DormancyParams, adoption_u: np.ndarray, choice_u: np.ndarray,
                     dorm_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous step with explicit per-node uniforms (deterministic)."""
-    la, lb = graph.layer_a, graph.layer_b
-    tables = step_tables(kernel, dormancy, la.t, lb.t)
-    idt = tables.index_dtype
-    ca = _neighbor_count(_carriers(states, active, STATE_A).astype(idt), la.nbrs)
-    cb = _neighbor_count(_carriers(states, active, STATE_B).astype(idt), lb.nbrs)
-
-    cell = ca * (lb.t + 1)
+    """One synchronous step on `neighbor_counts` with explicit per-node uniforms."""
+    ca, cb = counts
+    tables = step_tables(kernel, dormancy, graph.layer_a.t, graph.layer_b.t)
+    cell = ca * (graph.layer_b.t + 1)
     cell += cb
-    key = states.astype(idt)
+    key = states.astype(ca.dtype)
     key *= tables.share.size
     key += cell
     # P(fired) == p for U[0,1) draws; p == 0 (threshold 1.0) never fires.
@@ -221,39 +222,34 @@ def step_with_draws(graph: MultiplexGraph, states: np.ndarray, active: np.ndarra
     return new_states, new_active
 
 
-def can_fire(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
+def can_fire(states: np.ndarray, counts: tuple[np.ndarray, np.ndarray],
              kernel: KernelParams, blocks: int = 1) -> np.ndarray:
-    """Per block of `graph.n // blocks` consecutive nodes: True while some node
-    lacks a contagion and has an active carrier of it in its neighbor slots on
-    that contagion's layer (in exclusive mode only naive nodes lack one).
+    """Per block of `states.size // blocks` consecutive nodes: True while some
+    node lacks a contagion and `counts` (`neighbor_counts`) give it an active
+    carrier of it on that contagion's layer (in exclusive mode only naive nodes lack one).
 
     Structural: it reads carrier presence, not probabilities, so a block is
     never False while any of its adoption probabilities is positive, for every
     alpha >= 0, underflow included.
     """
-    fire = np.zeros(blocks, dtype=bool)
-    for bit, layer in ((STATE_A, graph.layer_a), (STATE_B, graph.layer_b)):
-        carrier = _carriers(states, active, bit)
-        if not carrier.any():
-            continue
-        lacks = states == NAIVE if kernel.mode == EXCLUSIVE else (states & bit) == 0
-        fire |= (lacks & _neighbor_count(carrier, layer.nbrs)).reshape(blocks, -1).any(axis=1)
-        if fire.all():
-            break
-    return fire
+    ca, cb = counts
+    if kernel.mode == EXCLUSIVE:
+        lacks_a = lacks_b = states == NAIVE
+    else:
+        lacks_a, lacks_b = (states & STATE_A) == 0, (states & STATE_B) == 0
+    fire = (lacks_a & (ca > 0)) | (lacks_b & (cb > 0))
+    return fire.reshape(blocks, -1).any(axis=1)
 
 
 def step(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
-         kernel: KernelParams, dormancy: DormancyParams,
-         rngs: np.random.Generator | list[np.random.Generator],
+         counts: tuple[np.ndarray, np.ndarray], kernel: KernelParams,
+         dormancy: DormancyParams, rngs: list[np.random.Generator],
          quenched_draws: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous step. `rngs` is one generator, or a list of one per block
-    of `graph.n // len(rngs)` consecutive nodes; each fills its block's slice of
-    every draw row, row by row. Annealed mode draws adoption, choice and
-    dormancy uniforms; quenched mode reuses the fixed per-node adoption draws
-    and draws only the choice and dormancy rows."""
-    if not isinstance(rngs, list):
-        rngs = [rngs]
+    """One synchronous step on the population's `neighbor_counts`. `rngs` holds
+    one generator per block of `graph.n // len(rngs)` consecutive nodes; each
+    fills its block's slice of every draw row, row by row. Annealed mode draws
+    adoption, choice and dormancy uniforms; quenched mode reuses the fixed
+    per-node adoption draws and draws only the choice and dormancy rows."""
     quenched = kernel.threshold_mode == QUENCHED
     if quenched and quenched_draws is None:
         raise ValueError("quenched threshold mode needs the per-node draws")
@@ -266,7 +262,7 @@ def step(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
         adoption_u, (choice_u, dorm_u) = quenched_draws, draws
     else:
         adoption_u, choice_u, dorm_u = draws
-    return step_with_draws(graph, states, active, kernel, dormancy,
+    return step_with_draws(graph, states, active, counts, kernel, dormancy,
                            adoption_u, choice_u, dorm_u)
 
 
@@ -354,15 +350,18 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
     bins = np.repeat(4 * np.arange(len(rngs)), n)  # block r counts into bins 4r..4r+3
     rows = np.arange(len(rngs))  # the counts row of each block still stepping
     prev = np.bincount(bins + states, minlength=4 * rows.size).reshape(-1, 4)
+    ca, cb = neighbor_counts(graph, states, active)
     done = 0
     while done < config.steps:
-        states, active = step(graph, states, active, kernel, config.dormancy, rngs, quenched)
+        states, active = step(graph, states, active, (ca, cb), kernel, config.dormancy, rngs,
+                              quenched)
+        ca, cb = neighbor_counts(graph, states, active)
         row = np.bincount(bins[:states.size] + states, minlength=4 * rows.size).reshape(-1, 4)
         counts[rows, done] = row
         done += 1
         absorbed = (row == prev).all(axis=1)
         if absorbed.any():
-            absorbed &= ~can_fire(graph, states, active, kernel, rows.size)
+            absorbed &= ~can_fire(states, (ca, cb), kernel, rows.size)
         prev = row
         if not absorbed.any():
             continue
@@ -372,7 +371,7 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
         if not keep.any():
             return
         nodes = np.repeat(keep, n)
-        states, active = states[nodes], active[nodes]
+        states, active, ca, cb = states[nodes], active[nodes], ca[nodes], cb[nodes]
         if quenched is not None:
             quenched = quenched[nodes]
         rngs, graphs = list(compress(rngs, keep)), list(compress(graphs, keep))

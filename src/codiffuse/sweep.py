@@ -196,11 +196,15 @@ def _manifest_skeleton(spec: SweepSpec, command: str, workers: int,
     }
 
 
+def _write_manifest(out_dir: str, manifest: dict) -> None:
+    write_text(os.path.join(out_dir, "manifest.json"),
+               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 def _finalize_manifest(out_dir: str, manifest: dict, files: dict[str, str]) -> None:
     manifest["finished_utc"] = _utc_now()
     manifest["files"] = dict(sorted(files.items()))
-    write_text(os.path.join(out_dir, "manifest.json"),
-               json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_manifest(out_dir, manifest)
 
 
 def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
@@ -310,7 +314,8 @@ def analyze(out_dir: str) -> None:
     """Recompute heatmap and modality reports from a sweep's or run's stored series.
 
     Reads the manifest for the parameter list, then the per-set mean series and
-    per-iteration ceilings; rewrites heatmap.csv and modality/ in place. Before
+    per-iteration ceilings; rewrites heatmap.csv and modality/ in place, then
+    manifest.json with those files' new hashes and nothing else changed. Before
     it reads or writes anything, every input must be listed in the manifest, be
     on disk and match its hash. A set with an input that is both unlisted and
     absent is skipped: it failed, or an aborted sweep never wrote it.
@@ -347,6 +352,7 @@ def analyze(out_dir: str) -> None:
     for i, tag, mean_path, ceil_path in inputs:
         mean_counts = read_series_csv(mean_path)
         ceilings = read_ceilings_csv(ceil_path)
-        _write_modality(out_dir, tag, ceilings)
+        listed.update(_write_modality(out_dir, tag, ceilings))
         stats[i] = ensemble_stats(mean_counts, ceilings)
-    write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), sets, stats)
+    listed["heatmap.csv"] = write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), sets, stats)
+    _write_manifest(out_dir, manifest)

@@ -28,6 +28,7 @@ from codiffuse.engine import (
     can_fire,
     iteration_graph,
     iteration_stream,
+    neighbor_counts,
     seed_population,
     step,
     step_with_draws,
@@ -157,7 +158,9 @@ def empirical_adoption_freq(graph: MultiplexGraph, kernel, dormancy, target_stat
         batch = min(n_groups, trials - done)
         states, active = group_states(n_groups, target_state, a_count, b_count)
         u, v, w = rng.random((3, graph.n))
-        new_states, _ = step_with_draws(graph, states, active, kernel, dormancy, u, v, w)
+        new_states, _ = step_with_draws(graph, states, active,
+                                        neighbor_counts(graph, states, active),
+                                        kernel, dormancy, u, v, w)
         fired += int(np.sum(new_states[0:9 * batch:9] != states[0:9 * batch:9]))
         done += batch
     return fired / trials
@@ -205,8 +208,8 @@ def full_horizon_run(config, iteration: int) -> np.ndarray:
     quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
     counts = np.empty((config.steps, 4), dtype=np.int64)
     for t in range(config.steps):
-        states, active = step(graph, states, active, config.kernel, config.dormancy,
-                              rng, quenched)
+        states, active = step(graph, states, active, neighbor_counts(graph, states, active),
+                              config.kernel, config.dormancy, [rng], quenched)
         counts[t] = np.bincount(states, minlength=4)
     return counts
 
@@ -226,12 +229,13 @@ def reference_run(config, iteration: int = 0,
     prev = np.bincount(states, minlength=4)
     done = 0
     while done < config.steps:
-        states, active = step(graph, states, active, config.kernel, config.dormancy,
-                              rng, quenched)
+        states, active = step(graph, states, active, neighbor_counts(graph, states, active),
+                              config.kernel, config.dormancy, [rng], quenched)
         row = counts[done]
         row[:] = np.bincount(states, minlength=4)
         done += 1
-        if np.array_equal(row, prev) and not can_fire(graph, states, active, config.kernel):
+        if np.array_equal(row, prev) and not can_fire(
+                states, neighbor_counts(graph, states, active), config.kernel):
             break
         prev = row
     counts[done:] = counts[done - 1]

@@ -1,8 +1,10 @@
 """Stop at absorption and the count-table step: exactness against the
-full-horizon loop, and properties of `can_fire` and the vectorized step against
-the scalar reference step on random small graphs."""
+full-horizon loop, properties of `can_fire`, `neighbor_counts` and the
+vectorized step against the scalar reference on random small graphs, and one
+gather pair per step shared by the step and the stop test."""
 
 import itertools
+import traceback
 
 import numpy as np
 import pytest
@@ -10,7 +12,17 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from codiffuse.engine import RunConfig, can_fire, run, step, step_with_draws, stream
+import codiffuse.engine as engine
+from codiffuse.engine import (
+    RunConfig,
+    can_fire,
+    neighbor_counts,
+    run,
+    run_ensemble,
+    step,
+    step_with_draws,
+    stream,
+)
 from codiffuse.kernel import (
     ANNEALED,
     EXCLUSIVE,
@@ -130,7 +142,8 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, 
 
 def assert_step_matches_reference(pop, u, v, w, seed):
     graph, states, active, kernel, dormancy = pop
-    got = step_with_draws(graph, states, active, kernel, dormancy, u, v, w)
+    got = step_with_draws(graph, states, active, neighbor_counts(graph, states, active),
+                          kernel, dormancy, u, v, w)
     exp = reference_step(graph, states, active, kernel, dormancy, u, v, w)
     np.testing.assert_array_equal(got[0], exp[0])
     np.testing.assert_array_equal(got[1], exp[1])
@@ -138,7 +151,8 @@ def assert_step_matches_reference(pop, u, v, w, seed):
     # The stream-driven step in this threshold mode: quenched mode reuses the
     # fixed per-node draws and takes only choice and dormancy uniforms per step.
     quenched = u if kernel.threshold_mode == QUENCHED else None
-    got = step(graph, states, active, kernel, dormancy, stream(seed), quenched)
+    got = step(graph, states, active, neighbor_counts(graph, states, active), kernel,
+               dormancy, [stream(seed)], quenched)
     if quenched is None:
         u, v, w = stream(seed).random((3, graph.n))
     else:
@@ -155,7 +169,7 @@ def test_can_fire_is_exactly_some_positive_probability(mode, thresholds, data):
     graph, states, active, kernel, dormancy = data.draw(populations(mode, thresholds))
     probs = [adoption_probability(int(states[i]), node_densities(graph, states, active, i),
                                   kernel) for i in range(graph.n)]
-    fire = can_fire(graph, states, active, kernel)
+    fire = can_fire(states, neighbor_counts(graph, states, active), kernel)
     event(f"can_fire={fire}")
     assert fire == any(p > 0.0 for p in probs)
     if not fire:
@@ -196,8 +210,65 @@ def test_every_slot_a_carrier_counts_to_t(t):
     kernel = KernelParams(alpha=1.0, k_b=1.0)  # p = 1/2 at density 1, 0 at density 0
     dormancy = DormancyParams(0.0, 0.0)
     u = np.array([0.5, 0.0])  # fires exactly when the count is t
-    new_states, _ = step_with_draws(graph, states, active, kernel, dormancy,
+    new_states, _ = step_with_draws(graph, states, active,
+                                    neighbor_counts(graph, states, active), kernel, dormancy,
                                     u, np.zeros(2), np.zeros(2))
     assert new_states[0] == STATE_B
     exp, _ = reference_step(graph, states, active, kernel, dormancy, u, np.zeros(2), np.zeros(2))
     np.testing.assert_array_equal(new_states, exp)
+
+
+def assert_counts_match_node_densities(graph, states, active):
+    ca, cb = neighbor_counts(graph, states, active)
+    for i in range(graph.n):
+        dens = node_densities(graph, states, active, i)
+        # count / t is one-to-one on 0..t, so equal fractions mean equal counts.
+        assert (ca[i] / graph.layer_a.t, cb[i] / graph.layer_b.t) == (dens.dens_a, dens.dens_b)
+
+
+@pytest.mark.parametrize("width", [st.integers(1, 4), st.integers(128, 300)],
+                         ids=["width-1-4", "width-128-300"])
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_neighbor_counts_match_per_node_counting(width, data):
+    graph, states, active, _, _ = data.draw(populations(INCLUSIVE, ANNEALED, width))
+    assert_counts_match_node_densities(graph, states, active)
+
+
+@settings(max_examples=5, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_neighbor_counts_match_per_node_counting_on_65536_slots(data, seed):
+    # Counts up to 65,536 need a type wider than uint16.
+    n = data.draw(st.integers(2, 3))
+    rng = stream(seed)
+    wide = Layer(kind="random", nbrs=rng.integers(0, n, (n, 65536), dtype=np.int32))
+    narrow = Layer(kind="random", nbrs=rng.integers(0, n, (n, data.draw(st.integers(1, 4))),
+                                                    dtype=np.int32))
+    graph = MultiplexGraph(*data.draw(st.permutations((wide, narrow))))
+    states = data.draw(hnp.arrays(np.int8, n, elements=st.integers(0, 3)))
+    active = data.draw(hnp.arrays(np.bool_, n)) | (states == NAIVE)
+    assert_counts_match_node_densities(graph, states, active)
+
+
+def test_every_gather_is_one_neighbor_counts_pair_per_step(monkeypatch):
+    # The step and the stop test read the same counts: every gather runs inside
+    # `neighbor_counts`, at most one pair per step plus one when a batch starts.
+    gathers, steps = [], []
+    real_gather, real_step = engine._neighbor_count, engine.step
+
+    def gather(*args):
+        gathers.append(any(f.name == "neighbor_counts" for f in traceback.extract_stack()))
+        return real_gather(*args)
+
+    def counted_step(*args, **kwargs):
+        steps.append(1)
+        return real_step(*args, **kwargs)
+
+    cfg = point_config("mid_horizon", INCLUSIVE, ANNEALED, "multiplex", False)
+    monkeypatch.setattr(engine, "_neighbor_count", gather)
+    monkeypatch.setattr(engine, "step", counted_step)
+    monkeypatch.setattr(engine, "BATCH_NODES", 3 * cfg.n)
+    _, absorbed_at = run_ensemble(cfg, 7)  # batches of 3, 3 and 1 iterations
+    assert (absorbed_at < cfg.steps).all()  # every block reached the stop test
+    assert all(gathers)
+    assert len(gathers) <= 2 * (len(steps) + 3)

@@ -21,7 +21,7 @@ from codiffuse.analysis import (
     mode_shares,
 )
 from codiffuse.config import spec_from_dict
-from codiffuse.engine import RunConfig, run_ensemble, seed_population, step, stream
+from codiffuse.engine import RunConfig, neighbor_counts, run_ensemble, seed_population, step, stream
 from codiffuse.kernel import (
     ANNEALED,
     EXCLUSIVE,
@@ -196,8 +196,9 @@ def test_criterion_08_engine_invariants_under_fuzzing():
         allowed = legal_next if mode == INCLUSIVE else legal_next_exclusive
         prev_ab = int(np.sum(states == STATE_AB))
         for _ in range(cfg.steps):
-            new_states, new_active = step(graph, states, active, kernel, dormancy,
-                                          rng, quenched)
+            new_states, new_active = step(graph, states, active,
+                                          neighbor_counts(graph, states, active),
+                                          kernel, dormancy, [rng], quenched)
             counts = np.bincount(new_states, minlength=4)
             if counts.sum() != graph.n:
                 violations += 1

@@ -179,6 +179,25 @@ class TestValidation:
         assert "0" * 400 not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["alpha", "tau_a", "tau_b"])
+    @pytest.mark.parametrize("values, text, first", [
+        ([0.05, 0.5, 0.5000001], "0.5", 1),  # prints alike
+        ([0.05, 0.02, 0.05], "0.05", 0),  # exact duplicate
+        ([0.0, 0.02, 0], "0", 0),  # an int and a float of one value
+    ])
+    def test_grid_values_that_print_alike_exit_two(self, tmp_path, capsys, key, values, text,
+                                                   first):
+        # Heatmap rows and file tags print grid values with :g; two values that
+        # print alike would give rows that cannot be told apart.
+        cfg = tmp_path / "cfg.json"
+        raw = {"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0], "iterations": 1, "steps": 5,
+               "graph": {"side": 4}}
+        cfg.write_text(json.dumps({**raw, key: values}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 2
+        assert f"{key}[2] prints as {text}, like {key}[{first}]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_integer_past_the_digit_limit_is_malformed(self, tmp_path):
         # json parses integers with int(), which refuses more than 4300 digits.
         cfg = tmp_path / "cfg.json"

@@ -10,6 +10,7 @@ from codiffuse.engine import (
     RunConfig,
     iteration_graph,
     iteration_stream,
+    neighbor_counts,
     run,
     run_ensemble,
     seed_population,
@@ -96,7 +97,9 @@ class TestStepAgainstReference:
             dormancy = DormancyParams(tau_a=float(rng.choice([0.0, 0.3, 1.0])),
                                       tau_b=float(rng.uniform(0.0, 1.0)))
             u, v, w = master.random((3, n))
-            got_s, got_a = step_with_draws(graph, states, active, kernel, dormancy, u, v, w)
+            got_s, got_a = step_with_draws(graph, states, active,
+                                           neighbor_counts(graph, states, active),
+                                           kernel, dormancy, u, v, w)
             exp_s, exp_a = reference_step(graph, states, active, kernel, dormancy, u, v, w)
             np.testing.assert_array_equal(got_s, exp_s)
             np.testing.assert_array_equal(got_a, exp_a)
@@ -126,8 +129,8 @@ class TestStepSemantics:
         active = np.ones(graph.n, dtype=bool)
         rng = stream(44, 0)
         for _ in range(10):
-            states, active = step(graph, states, active, KernelParams(alpha=0.0),
-                                  DormancyParams(0.5, 0.5), rng)
+            states, active = step(graph, states, active, neighbor_counts(graph, states, active),
+                                  KernelParams(alpha=0.0), DormancyParams(0.5, 0.5), [rng])
         assert (states == NAIVE).all() and active.all()
 
     def test_zero_rates_freeze_activity(self):
@@ -136,8 +139,8 @@ class TestStepSemantics:
         cfg_kernel = KernelParams(alpha=0.5)
         states, active = seed_population(graph.n, rng)
         for _ in range(20):
-            states, active = step(graph, states, active, cfg_kernel,
-                                  DormancyParams(0.0, 0.0), rng)
+            states, active = step(graph, states, active, neighbor_counts(graph, states, active),
+                                  cfg_kernel, DormancyParams(0.0, 0.0), [rng])
         assert active.all()
 
     def test_certain_dormancy_switches_off_b_each_step(self):
@@ -145,8 +148,8 @@ class TestStepSemantics:
         graph = random_multiplex(rng, side=6)
         states, active = seed_population(graph.n, rng)
         for _ in range(15):
-            states, active = step(graph, states, active, KernelParams(alpha=0.3),
-                                  DormancyParams(0.0, 1.0), rng)
+            states, active = step(graph, states, active, neighbor_counts(graph, states, active),
+                                  KernelParams(alpha=0.3), DormancyParams(0.0, 1.0), [rng])
             assert not np.any((states == STATE_B) & active)
 
     def test_single_active_a_neighbor_rate(self):
@@ -166,7 +169,8 @@ class TestStepSemantics:
         active[0::9] = False
         kernel = KernelParams(alpha=0.5)
         u, v, w = stream(45, 0).random((3, graph.n))
-        new_states, new_active = step_with_draws(graph, states, active, kernel,
+        new_states, new_active = step_with_draws(graph, states, active,
+                                                 neighbor_counts(graph, states, active), kernel,
                                                  DormancyParams(0.0, 0.0), u, v, w)
         adopted = new_states[0::9] == STATE_AB
         assert adopted.any()
@@ -178,8 +182,8 @@ class TestStepSemantics:
         kernel = KernelParams(alpha=1.0, threshold_mode=QUENCHED)
         rng = stream(45, 1)
         quenched = rng.random(graph.n)
-        new_states, _ = step(graph, states, active, kernel, DormancyParams(0.0, 0.0),
-                             rng, quenched_draws=quenched)
+        new_states, _ = step(graph, states, active, neighbor_counts(graph, states, active),
+                             kernel, DormancyParams(0.0, 0.0), [rng], quenched_draws=quenched)
         p = (0.5 / 2.0) / (1.0 + 0.5 / 2.0)  # two active of four at K=2
         targets = slice(0, None, 9)
         np.testing.assert_array_equal(new_states[targets] != NAIVE,
@@ -189,8 +193,9 @@ class TestStepSemantics:
         graph = star_groups(2)
         states, active = group_states(2, NAIVE, 1, 0)
         with pytest.raises(ValueError):
-            step(graph, states, active, KernelParams(alpha=1.0, threshold_mode=QUENCHED),
-                 DormancyParams(0.0, 0.0), stream(45, 2))
+            step(graph, states, active, neighbor_counts(graph, states, active),
+                 KernelParams(alpha=1.0, threshold_mode=QUENCHED),
+                 DormancyParams(0.0, 0.0), [stream(45, 2)])
 
 
 class TestRun:

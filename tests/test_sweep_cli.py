@@ -149,6 +149,32 @@ class TestSweepOutputs:
         assert tree_bytes(out, "heatmap.csv") == before_heat
         assert tree_bytes(os.path.join(out, "modality"), ".json") == before_modality
 
+    def test_analyze_rewrites_the_hashes_of_the_files_it_rewrites(self, tmp_path, monkeypatch):
+        # A KDE that rounds one ulp apart (another CPU's np.exp, say) makes
+        # analyze write other modality and heatmap bytes than the sweep did.
+        import dataclasses
+
+        import codiffuse.sweep as sweep_mod
+
+        out = tmp_path / "out"
+        sweep(spec_from_dict(TINY), str(out), workers=1)
+        before = json.loads((out / "manifest.json").read_text())
+        real_kde = sweep_mod.kde
+
+        def kde_one_ulp_off(values):
+            report = real_kde(values)
+            return dataclasses.replace(report, bandwidth=np.nextafter(report.bandwidth, np.inf))
+
+        monkeypatch.setattr(sweep_mod, "kde", kde_one_ulp_off)
+        analyze(str(out))
+        manifest = json.loads((out / "manifest.json").read_text())
+        on_disk = {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest()
+                   for rel in manifest["files"]}
+        assert manifest["files"] == on_disk
+        assert manifest["files"] != before["files"]  # the ulp reached the files
+        del manifest["files"], before["files"]
+        assert manifest == before
+
     def test_pool_frees_each_result_once_collected(self):
         import codiffuse.sweep as sweep_mod
         from codiffuse.config import enumerate_parameter_sets

@@ -25,8 +25,9 @@ A realization stops at absorption: once no node can fire, no state can change
 again (adoption never turns activity on and dormancy only turns it off, so
 carrier counts can only fall), and the remaining count rows repeat the last
 one. The stop test (`can_fire`) reads the per-node active-carrier counts the
-next step reads (`neighbor_counts`, taken once per step), so it gathers nothing
-itself; it reads carrier presence, not probabilities, so it is exact for every
+next step reads (`neighbor_counts`, taken once per step, except after the
+horizon's last step, where nothing reads them), so it gathers nothing itself;
+it reads carrier presence, not probabilities, so it is exact for every
 alpha >= 0. The skipped draws belong to that iteration's own stream and feed
 nothing else, so the series is the same as stepping the full horizon.
 
@@ -327,6 +328,8 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
     """Step the iterations `indices` as one population until each absorbs or the
     horizon ends, filling their rows of `counts` and `absorbed_at` in place.
 
+    The neighbor counts are taken when the batch starts and after every step
+    but the horizon's last, whose counts no step and no stop test would read.
     Absorption is tested only for blocks whose step left their count row
     unchanged: an absorbed block produces such a step, so busy steps pay
     nothing for the test. Absorbed blocks leave the population at once: the
@@ -352,13 +355,15 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
     prev = np.bincount(bins + states, minlength=4 * rows.size).reshape(-1, 4)
     ca, cb = neighbor_counts(graph, states, active)
     done = 0
-    while done < config.steps:
+    while True:
         states, active = step(graph, states, active, (ca, cb), kernel, config.dormancy, rngs,
                               quenched)
-        ca, cb = neighbor_counts(graph, states, active)
         row = np.bincount(bins[:states.size] + states, minlength=4 * rows.size).reshape(-1, 4)
         counts[rows, done] = row
         done += 1
+        if done == config.steps:
+            break
+        ca, cb = neighbor_counts(graph, states, active)
         absorbed = (row == prev).all(axis=1)
         if absorbed.any():
             absorbed &= ~can_fire(states, (ca, cb), kernel, rows.size)

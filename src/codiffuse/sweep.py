@@ -2,15 +2,16 @@
 
 `sweep` runs the (alpha, tau_a, tau_b) cube, one ensemble per parameter set;
 `run` is the single-set variant that also stores every iteration's series. Both
-use one scheduler over (set, iteration range) units: in this process for one
-worker, over one process pool for more, splitting a set's iterations only when
-workers outnumber sets. This process writes each set as soon as its last unit
-arrives: the ensemble-mean time series (series/), the per-iteration ceilings
-(ceilings/) and KDE modality reports for the two contagions (modality/); at the
-end, heatmap.csv and a manifest.json with the sha256 of every emitted file,
-each written whole by `write_text`. Every iteration has its own random stream,
-so all emitted bytes are a pure function of the resolved config, identical at
-any worker count. `analyze` refuses inputs whose bytes do not match the manifest.
+use one scheduler over (set, iteration range) units: one process pool of at
+most one process per worker, unit and usable CPU, or this process alone when
+that pool would hold one; a set's iterations are split only when workers
+outnumber sets. This process writes each set as soon as its last unit arrives:
+the ensemble-mean time series (series/), the per-iteration ceilings (ceilings/)
+and KDE modality reports for the two contagions (modality/); at the end,
+heatmap.csv and a manifest.json with the sha256 of every emitted file, each
+written whole by `write_text` and entered in manifest["files"] by its writer.
+Every iteration has its own random stream, so all emitted bytes are a pure
+function of the resolved config, identical at any worker count. `analyze` refuses inputs whose bytes do not match the manifest.
 """
 
 from __future__ import annotations
@@ -100,16 +101,16 @@ def write_heatmap_csv(path: str, sets: list[tuple[int, float, float, float]],
     return write_text(path, HEATMAP_HEADER + "\n" + "".join(rows))
 
 
-def _write_modality(out_dir: str, tag: str, ceilings: np.ndarray) -> dict[str, str]:
-    """KDE reports for the contagion categories as {rel: sha256}; none below 2 iterations."""
+def _write_modality(out_dir: str, tag: str, ceilings: np.ndarray, files: dict[str, str]) -> dict:
+    """KDE reports as {rel: sha256}, each put in `files` once on disk; none below 2 iterations."""
     written = {}
     if ceilings.shape[0] < 2:
         return written
     for cat in MODALITY_CATEGORIES:
         report = kde(ceilings[:, CATEGORIES.index(cat)])
         rel = os.path.join(MODALITY_DIR, f"{tag}_{cat}.json")
-        written[rel] = write_text(os.path.join(out_dir, rel),
-                                  json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+        files[rel] = written[rel] = write_text(
+            os.path.join(out_dir, rel), json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
     return written
 
 
@@ -174,7 +175,7 @@ def _emit_set(out_dir: str, tag: str, counts: np.ndarray, per_iteration: bool,
     mean_rel, ceil_rel = _set_inputs(tag)
     files[mean_rel] = write_series_csv(os.path.join(out_dir, mean_rel), mean_counts)
     files[ceil_rel] = write_ceilings_csv(os.path.join(out_dir, ceil_rel), ceilings)
-    files.update(_write_modality(out_dir, tag, ceilings))
+    _write_modality(out_dir, tag, ceilings, files)
     return ensemble_stats(mean_counts, ceilings)
 
 
@@ -201,9 +202,8 @@ def _write_manifest(out_dir: str, manifest: dict) -> None:
                json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _finalize_manifest(out_dir: str, manifest: dict, files: dict[str, str]) -> None:
+def _finalize_manifest(out_dir: str, manifest: dict) -> None:
     manifest["finished_utc"] = _utc_now()
-    manifest["files"] = dict(sorted(files.items()))
     _write_manifest(out_dir, manifest)
 
 
@@ -211,13 +211,14 @@ def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
     """Compute every (set, iteration range) unit and hand `collect` each result,
     or the exception that failed it, in this process as it arrives.
 
-    One worker computes in this process, where a tracer or profiler sees it;
-    more share one pool of at most `usable_cpus()` processes. A finished future
-    leaves `futures` before `collect` sees its result, so no result outlives
-    its `collect` call here. When `collect` raises, units not yet started are
-    cancelled.
+    The pool would start `min(workers, len(units), usable_cpus())` processes;
+    when that is one, this process computes every unit itself, where a tracer
+    or profiler sees it. A finished future leaves `futures` before `collect`
+    sees its result, so no result outlives its `collect` call here. When
+    `collect` raises, units not yet started are cancelled.
     """
-    if workers <= 1:
+    size = min(workers, len(units), usable_cpus())
+    if size <= 1:
         for unit in units:
             try:
                 result = _sweep_task(spec, *unit[0], unit[1])
@@ -225,7 +226,7 @@ def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
                 result = exc
             collect(unit, result)
         return
-    pool = cf.ProcessPoolExecutor(max_workers=min(workers, len(units), usable_cpus()))
+    pool = cf.ProcessPoolExecutor(max_workers=size)
     try:
         futures = {pool.submit(_sweep_task, spec, *s, its): (s, its) for s, its in units}
         for fut in cf.as_completed(futures):
@@ -255,7 +256,7 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
     units = [(s, range(k, spec.iterations, parts)) for s in sets for k in range(parts)]
     arrived: dict[int, list] = {}
     stats: dict[int, list[tuple]] = {}
-    files: dict[str, str] = {}
+    files = manifest["files"]
     t0 = time.monotonic()
 
     def collect(unit, result) -> None:
@@ -290,9 +291,9 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
     except BaseException as exc:
         manifest["failures"].append(
             {"index": None, "error": f"aborted: {type(exc).__name__}: {exc}"})
-        _finalize_manifest(out_dir, manifest, files)
         raise
-    _finalize_manifest(out_dir, manifest, files)
+    finally:
+        _finalize_manifest(out_dir, manifest)
     return manifest
 
 
@@ -315,10 +316,11 @@ def analyze(out_dir: str) -> None:
 
     Reads the manifest for the parameter list, then the per-set mean series and
     per-iteration ceilings; rewrites heatmap.csv and modality/ in place, then
-    manifest.json with those files' new hashes and nothing else changed. Before
-    it reads or writes anything, every input must be listed in the manifest, be
-    on disk and match its hash. A set with an input that is both unlisted and
-    absent is skipped: it failed, or an aborted sweep never wrote it.
+    manifest.json with those files' new hashes and nothing else changed, also
+    when a write fails, so the manifest matches the disk. Before it reads or
+    writes anything, every input must be listed in the manifest, be on disk and
+    match its hash. A set with an input that is both unlisted and absent is
+    skipped: it failed, or an aborted sweep never wrote it.
     """
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not os.path.exists(manifest_path):
@@ -349,10 +351,12 @@ def analyze(out_dir: str) -> None:
                 raise AnalysisError(f"{rel} does not match its manifest.json hash")
         inputs.append((i, tag, *paths))
     stats: dict[int, list[tuple]] = {}
-    for i, tag, mean_path, ceil_path in inputs:
-        mean_counts = read_series_csv(mean_path)
-        ceilings = read_ceilings_csv(ceil_path)
-        listed.update(_write_modality(out_dir, tag, ceilings))
-        stats[i] = ensemble_stats(mean_counts, ceilings)
-    listed["heatmap.csv"] = write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), sets, stats)
-    _write_manifest(out_dir, manifest)
+    try:
+        for i, tag, mean_path, ceil_path in inputs:
+            mean_counts = read_series_csv(mean_path)
+            ceilings = read_ceilings_csv(ceil_path)
+            _write_modality(out_dir, tag, ceilings, listed)
+            stats[i] = ensemble_stats(mean_counts, ceilings)
+        listed["heatmap.csv"] = write_heatmap_csv(os.path.join(out_dir, "heatmap.csv"), sets, stats)
+    finally:
+        _write_manifest(out_dir, manifest)

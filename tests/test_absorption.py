@@ -1,7 +1,8 @@
 """Stop at absorption and the count-table step: exactness against the
 full-horizon loop, properties of `can_fire`, `neighbor_counts` and the
 vectorized step against the scalar reference on random small graphs, and one
-gather pair per step shared by the step and the stop test."""
+gather pair per step shared by the step and the stop test, none after the
+horizon's last step."""
 
 import itertools
 import traceback
@@ -39,6 +40,7 @@ from _harness import (
     adoption_probability,
     full_horizon_run,
     node_densities,
+    reference_ensemble,
     reference_step,
     run_outputs_by_workers,
 )
@@ -272,3 +274,25 @@ def test_every_gather_is_one_neighbor_counts_pair_per_step(monkeypatch):
     assert (absorbed_at < cfg.steps).all()  # every block reached the stop test
     assert all(gathers)
     assert len(gathers) <= 2 * (len(steps) + 3)
+
+
+def test_no_gather_after_the_horizons_last_step(monkeypatch):
+    # No step and no stop test reads the counts after the last step, so a batch
+    # that never absorbs gathers one pair when it starts and one after every
+    # step but the last.
+    cfg = RunConfig(kernel=KernelParams(alpha=2.0), dormancy=DormancyParams(0.0, 0.0),
+                    side=32, steps=200, master_seed=1)
+    real_gather = engine._neighbor_count
+    gathers = []
+
+    def gather(*args):
+        gathers.append(1)
+        return real_gather(*args)
+
+    monkeypatch.setattr(engine, "_neighbor_count", gather)
+    counts, absorbed_at = run_ensemble(cfg, 2)
+    monkeypatch.undo()
+    assert len(gathers) == 2 * cfg.steps
+    ref_counts, ref_absorbed_at = reference_ensemble(cfg, range(2))
+    np.testing.assert_array_equal(counts, ref_counts)
+    assert absorbed_at.tolist() == ref_absorbed_at.tolist() == [cfg.steps] * 2

@@ -49,6 +49,30 @@ def tree_bytes(root, suffix):
     return out
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The size of every process pool the sweep builds; each is a stub that runs
+    its tasks at submit and starts no process."""
+    import concurrent.futures as cf
+
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            fut = cf.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", InProcessPool)
+    return sizes
+
+
 class TestSweepOutputs:
     def test_minimal_sweep_file_inventory(self, tmp_path):
         spec = spec_from_dict({"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0],
@@ -165,20 +189,40 @@ class TestSweepOutputs:
             report = real_kde(values)
             return dataclasses.replace(report, bandwidth=np.nextafter(report.bandwidth, np.inf))
 
-        monkeypatch.setattr(sweep_mod, "kde", kde_one_ulp_off)
-        analyze(str(out))
-        manifest = json.loads((out / "manifest.json").read_text())
-        on_disk = {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest()
-                   for rel in manifest["files"]}
-        assert manifest["files"] == on_disk
-        assert manifest["files"] != before["files"]  # the ulp reached the files
-        del manifest["files"], before["files"]
-        assert manifest == before
+        def assert_manifest_is_the_sweeps_with_the_hashes_on_disk():
+            manifest = json.loads((out / "manifest.json").read_text())
+            on_disk = {rel: hashlib.sha256((out / rel).read_bytes()).hexdigest()
+                       for rel in manifest["files"]}
+            assert manifest.pop("files") == on_disk
+            assert on_disk != before["files"]  # the ulp reached the files
+            assert manifest == {k: v for k, v in before.items() if k != "files"}
 
-    def test_pool_frees_each_result_once_collected(self):
+        monkeypatch.setattr(sweep_mod, "kde", kde_one_ulp_off)
+        # A failed write: the two reports written before it keep their new hashes.
+        real_write = sweep_mod.write_text
+        writes = []
+
+        def third_write_fails(path, text):
+            writes.append(path)
+            if len(writes) == 3:
+                raise OSError("no space left")
+            return real_write(path, text)
+
+        monkeypatch.setattr(sweep_mod, "write_text", third_write_fails)
+        with pytest.raises(OSError, match="no space left"):
+            analyze(str(out))
+        assert [os.path.dirname(os.path.relpath(p, out)) for p in writes[:3]] == ["modality"] * 3
+        assert_manifest_is_the_sweeps_with_the_hashes_on_disk()
+        monkeypatch.setattr(sweep_mod, "write_text", real_write)
+        analyze(str(out))
+        assert_manifest_is_the_sweeps_with_the_hashes_on_disk()
+
+    def test_pool_frees_each_result_once_collected(self, monkeypatch):
         import codiffuse.sweep as sweep_mod
         from codiffuse.config import enumerate_parameter_sets
 
+        # two usable CPUs, so the units go to a pool even on a one-CPU host
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         spec = spec_from_dict(TINY)
         units = [(s, range(spec.iterations)) for s in enumerate_parameter_sets(spec)]
         collected = []
@@ -194,37 +238,33 @@ class TestSweepOutputs:
         # a unit's counts are gone before the next unit reaches `collect`
         assert alive_at_collect == [0] * len(units)
 
-    def test_pool_is_capped_at_the_usable_cpus(self, tmp_path, monkeypatch):
+    def test_pool_is_capped_at_the_usable_cpus(self, tmp_path, monkeypatch, pool_sizes):
         import argparse
-        import concurrent.futures as cf
 
         import codiffuse.cli as cli_mod
 
-        requested = []
-
-        class InProcessPool:
-            """Records its size and runs each task at submit; starts no process."""
-
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def submit(self, fn, *args):
-                fut = cf.Future()
-                fut.set_result(fn(*args))
-                return fut
-
-            def shutdown(self, cancel_futures=False):
-                pass
-
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        monkeypatch.setattr(cf, "ProcessPoolExecutor", InProcessPool)
         spec = spec_from_dict(TINY)
         sweep(spec, str(tmp_path / "many"), workers=10_000)
         # 4 sets x 3 iterations are 12 units, but only 2 CPUs are usable.
-        assert requested == [2]
+        assert pool_sizes == [2]
         sweep(spec, str(tmp_path / "one"), workers=1)
         assert tree_bytes(tmp_path / "many", ".csv") == tree_bytes(tmp_path / "one", ".csv")
         assert cli_mod._workers(argparse.Namespace(workers=None)) == 2
+
+    def test_no_one_process_pool_is_started(self, tmp_path, monkeypatch, pool_sizes):
+        # A pool of one process would only add IPC and hide the work from a
+        # tracer, so a one-unit run and a one-CPU sweep compute in this process.
+        one_unit = spec_from_dict({**TINY, "alpha": [0.3], "tau_a": [0.0], "iterations": 1})
+        run_single(one_unit, str(tmp_path / "run4"), workers=4)
+        run_single(one_unit, str(tmp_path / "run1"), workers=1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        sweep(spec_from_dict(TINY), str(tmp_path / "sweep_many"), workers=10_000)
+        sweep(spec_from_dict(TINY), str(tmp_path / "sweep1"), workers=1)
+        assert pool_sizes == []
+        assert tree_bytes(tmp_path / "run4", ".csv") == tree_bytes(tmp_path / "run1", ".csv")
+        assert (tree_bytes(tmp_path / "sweep_many", ".csv")
+                == tree_bytes(tmp_path / "sweep1", ".csv"))
 
     def test_failed_parameter_set_is_isolated(self, tmp_path, monkeypatch):
         import codiffuse.sweep as sweep_mod
@@ -251,21 +291,44 @@ class TestSweepOutputs:
         assert tree_bytes(out, "heatmap.csv") == heat
 
 
-    @pytest.mark.parametrize("abort", [OSError, KeyboardInterrupt])
+    @pytest.mark.parametrize("point, abort", [
+        ("third-set", OSError),
+        ("third-set", KeyboardInterrupt),
+        ("second-b-report", OSError),
+        ("second-b-report", KeyboardInterrupt),
+    ], ids=["OSError", "KeyboardInterrupt", "modality-OSError", "modality-KeyboardInterrupt"])
     def test_aborted_sweep_keeps_a_manifest_of_what_reached_disk(self, tmp_path, monkeypatch,
-                                                                  abort):
+                                                                  point, abort):
         import codiffuse.sweep as sweep_mod
 
-        real_emit = sweep_mod._emit_set
-        calls = []
+        real_emit, real_write = sweep_mod._emit_set, sweep_mod.write_text
+        real_modality = sweep_mod._write_modality
+        emits, b_reports, modality_calls = [], [], []
 
         def emit_two_sets(*args):
-            calls.append(args)
-            if len(calls) == 3:
+            emits.append(args)
+            if len(emits) == 3:
                 raise abort("stop")
             return real_emit(*args)
 
-        monkeypatch.setattr(sweep_mod, "_emit_set", emit_two_sets)
+        def stop_at_second_b_report(path, text):
+            if path.endswith("_b.json"):
+                b_reports.append(path)
+                if len(b_reports) == 2:
+                    raise abort("stop")
+            return real_write(path, text)
+
+        def recorded_modality(out_dir, tag, ceilings, files):
+            before = dict(files)
+            written = real_modality(out_dir, tag, ceilings, files)
+            modality_calls.append((written, {rel: files[rel] for rel in files.keys() - before}))
+            return written
+
+        if point == "third-set":
+            monkeypatch.setattr(sweep_mod, "_emit_set", emit_two_sets)
+        else:
+            monkeypatch.setattr(sweep_mod, "write_text", stop_at_second_b_report)
+        monkeypatch.setattr(sweep_mod, "_write_modality", recorded_modality)
         out = tmp_path / "out"
         with pytest.raises(abort):
             sweep(spec_from_dict(TINY), str(out), workers=1)
@@ -273,9 +336,24 @@ class TestSweepOutputs:
         assert manifest["failures"] == [{"index": None, "error": f"aborted: {abort.__name__}: stop"}]
         on_disk = {rel: hashlib.sha256(data).hexdigest()
                    for rel, data in tree_bytes(out, "").items() if rel != "manifest.json"}
-        assert len(on_disk) == 8  # mean series, ceilings and two modality reports per set
+        # mean series, ceilings and modality reports a and b of the sets written
+        reports = [(os.path.basename(rel)[:7], rel[-6:])
+                   for rel in sorted(on_disk) if rel.startswith("modality")]
+        if point == "third-set":
+            assert len(on_disk) == 8
+            assert reports == [("set0000", "a.json"), ("set0000", "b.json"),
+                               ("set0001", "a.json"), ("set0001", "b.json")]
+        else:  # the cut set's a report landed before its b report failed
+            assert len(on_disk) == 7
+            assert reports == [("set0000", "a.json"), ("set0000", "b.json"),
+                               ("set0001", "a.json")]
         assert {os.path.basename(rel)[:7] for rel in on_disk} == {"set0000", "set0001"}
         assert manifest["files"] == on_disk
+        # What `_write_modality` returns is what it added to the ledger: the
+        # files a tracer counts.
+        assert modality_calls
+        for written, added in modality_calls:
+            assert written == added and len(written) == 2
         analyze(str(out))
         with open(out / "heatmap.csv") as fh:
             assert len(fh.read().strip().split("\n")) - 1 == 2 * 12

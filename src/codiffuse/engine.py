@@ -12,9 +12,10 @@ including same-step adopters, with its state's rate.
 
 Both layers are regular, so a node's adoption probability depends only on its
 state and its integer counts (ca, cb) of active carriers in its neighbor slots.
-A step therefore looks those up in tables built once per parameter set
-(`step_tables`), with the same float operations a per-node kernel evaluation
-would do, so every comparison sees the same bits.
+A step therefore reads everything from tables built once per parameter set
+(`step_tables`), at one flat key per node (`table_keys`), with the same float
+operations a per-node kernel evaluation would do, so every comparison sees the
+same bits.
 
 Each random stream is a Philox generator seeded from
 SeedSequence((master_seed, param_index, stream, iteration)): the address is the
@@ -24,12 +25,12 @@ reproduced bit-exactly from any process or worker count.
 A realization stops at absorption: once no node can fire, no state can change
 again (adoption never turns activity on and dormancy only turns it off, so
 carrier counts can only fall), and the remaining count rows repeat the last
-one. The stop test (`can_fire`) reads the per-node active-carrier counts the
-next step reads (`neighbor_counts`, taken once per step, except after the
-horizon's last step, where nothing reads them), so it gathers nothing itself;
-it reads carrier presence, not probabilities, so it is exact for every
-alpha >= 0. The skipped draws belong to that iteration's own stream and feed
-nothing else, so the series is the same as stepping the full horizon.
+one. The stop test looks up `StepTables.fires` at the keys the next step reads
+(`table_keys`, taken once per step, except after the horizon's last step,
+where nothing reads them), so it gathers nothing itself; `fires` reads carrier
+presence, not probabilities, so it is exact for every alpha >= 0. The skipped
+draws belong to that iteration's own stream and feed nothing else, so the
+series is the same as stepping the full horizon.
 
 `run_ensemble` steps a batch of R iterations as one population of R·n nodes on
 the disjoint union of their graphs: block r holds iteration r's nodes, and its
@@ -115,18 +116,22 @@ class RunConfig:
 
 @dataclass(frozen=True, eq=False)
 class StepTables:
-    """Everything a step reads from the kernel, indexed by integer neighbor counts.
+    """Everything a step reads from the kernel, indexed by a node's flat key.
 
-    `threshold[state, ca, cb]` is 1 - p (1.0 wherever the node cannot adopt),
-    `share[ca, cb]` the A share of a naive adoption and `rates[state]` the
-    dormancy rate (0 for naive nodes). Threshold and share are flattened, so a
-    node's entries sit at `key = state * share.size + cell` and
-    `cell = ca * (t_b + 1) + cb`.
+    A node's key (`table_keys`) is `state * share.size + cell`, with
+    `cell = ca * (t_b + 1) + cb` from its integer active-carrier counts.
+    `threshold[key]` is 1 - p (1.0 wherever the node cannot adopt),
+    `fires[key]` is True where the node lacks a contagion and has an active
+    carrier of it on that contagion's layer, `share[cell]` is the A share of a
+    naive adoption and `rates[state]` the dormancy rate (0 for naive nodes).
+    `quenched` is True when adoption reads fixed per-node draws.
     """
 
     threshold: np.ndarray  # (4 * (t_a + 1) * (t_b + 1),) float64
+    fires: np.ndarray  # (4 * (t_a + 1) * (t_b + 1),) bool
     share: np.ndarray  # ((t_a + 1) * (t_b + 1),) float64
     rates: np.ndarray  # (4,) float64
+    quenched: bool
 
 
 @functools.lru_cache(maxsize=64)
@@ -137,29 +142,37 @@ def step_tables(kernel: KernelParams, dormancy: DormancyParams, t_a: int,
     The densities are count / t, and every entry is computed with the float
     operations of a per-node evaluation (`hill_term_vec`, the indicator-switched
     sum, p = tot / (1 + tot), 1 - p and the guarded share division), so a lookup
-    returns exactly the value the node would have computed.
+    returns exactly the value the node would have computed. `fires` is built
+    from the same indicators but reads carrier presence, not probabilities, so
+    it is never False where p > 0, for every alpha >= 0, underflow included.
     """
+    ca, cb = np.arange(t_a + 1), np.arange(t_b + 1)
     # KernelParams keeps every term finite; a density / k that overflows passes
     # only at alpha == 0, whose power is exactly 1.
     with np.errstate(over="ignore"):
-        term_a = hill_term_vec(np.arange(t_a + 1) / t_a, kernel.k_a, kernel.alpha)
-        term_b = hill_term_vec(np.arange(t_b + 1) / t_b, kernel.k_b, kernel.alpha)
+        term_a = hill_term_vec(ca / t_a, kernel.k_a, kernel.alpha)
+        term_b = hill_term_vec(cb / t_b, kernel.k_b, kernel.alpha)
     threshold = np.empty((4, t_a + 1, t_b + 1))
+    fires = np.empty((4, t_a + 1, t_b + 1), dtype=bool)
     for state in (NAIVE, STATE_A, STATE_B, STATE_AB):
         # A carried contagion switches its term off; exclusive adopters are immune.
         immune = kernel.mode == EXCLUSIVE and state != NAIVE
-        ta = np.zeros_like(term_a) if immune or state & STATE_A else term_a
-        tb = np.zeros_like(term_b) if immune or state & STATE_B else term_b
+        lacks_a = not (immune or state & STATE_A)
+        lacks_b = not (immune or state & STATE_B)
+        ta = term_a if lacks_a else np.zeros_like(term_a)
+        tb = term_b if lacks_b else np.zeros_like(term_b)
         tot = ta[:, None] + tb[None, :]
         threshold[state] = 1.0 - tot / (1.0 + tot)
+        fires[state] = (lacks_a & (ca > 0))[:, None] | (lacks_b & (cb > 0))[None, :]
     denom = term_a[:, None] + term_b[None, :]  # raw terms: the split ignores indicators
     share = np.divide(np.broadcast_to(term_a[:, None], denom.shape), denom,
                       out=np.zeros_like(denom), where=denom > 0.0)
     rates = np.array([0.0, dormancy.tau_a, dormancy.tau_b, dormancy.tau_ab])
-    threshold, share = threshold.ravel(), share.ravel()
-    for table in (threshold, share, rates):
+    threshold, fires, share = threshold.ravel(), fires.ravel(), share.ravel()
+    for table in (threshold, fires, share, rates):
         table.flags.writeable = False  # shared by every caller through the cache
-    return StepTables(threshold=threshold, share=share, rates=rates)
+    return StepTables(threshold=threshold, fires=fires, share=share, rates=rates,
+                      quenched=kernel.threshold_mode == QUENCHED)
 
 
 def seed_population(n: int, rng: np.random.Generator,
@@ -185,35 +198,35 @@ def _neighbor_count(src: np.ndarray, nbrs: np.ndarray) -> np.ndarray:
     return acc
 
 
-def neighbor_counts(graph: MultiplexGraph, states: np.ndarray,
-                    active: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per node, the active A carriers in its layer-A slots and the active B
-    carriers in its layer-B slots, `(ca, cb)`, in the narrowest unsigned type
-    that holds every flat `StepTables` key (so no count 0..t wraps)."""
+def table_keys(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """Per node, its flat `StepTables` key `state * cells + ca * (t_b + 1) + cb`,
+    where `cells = (t_a + 1) * (t_b + 1)` and `(ca, cb)` are the active A
+    carriers in its layer-A slots and the active B carriers in its layer-B
+    slots. The keys have the narrowest unsigned type that holds every key, so
+    no count 0..t wraps."""
     la, lb = graph.layer_a, graph.layer_b
-    dtype = np.min_scalar_type(4 * (la.t + 1) * (lb.t + 1) - 1)
-    return tuple(_neighbor_count((((states & bit) != 0) & active).astype(dtype), layer.nbrs)
-                 for bit, layer in ((STATE_A, la), (STATE_B, lb)))
+    cells = (la.t + 1) * (lb.t + 1)
+    dtype = np.min_scalar_type(4 * cells - 1)
+    ca, cb = (_neighbor_count((((states & bit) != 0) & active).astype(dtype), layer.nbrs)
+              for bit, layer in ((STATE_A, la), (STATE_B, lb)))
+    key = states.astype(dtype)
+    key *= cells
+    ca *= lb.t + 1
+    key += ca
+    key += cb
+    return key
 
 
-def step_with_draws(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
-                    counts: tuple[np.ndarray, np.ndarray], kernel: KernelParams,
-                    dormancy: DormancyParams, adoption_u: np.ndarray, choice_u: np.ndarray,
+def step_with_draws(states: np.ndarray, active: np.ndarray, key: np.ndarray,
+                    tables: StepTables, adoption_u: np.ndarray, choice_u: np.ndarray,
                     dorm_u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous step on `neighbor_counts` with explicit per-node uniforms."""
-    ca, cb = counts
-    tables = step_tables(kernel, dormancy, graph.layer_a.t, graph.layer_b.t)
-    cell = ca * (graph.layer_b.t + 1)
-    cell += cb
-    key = states.astype(ca.dtype)
-    key *= tables.share.size
-    key += cell
+    """One synchronous step at the nodes' `table_keys` with explicit per-node uniforms."""
     # P(fired) == p for U[0,1) draws; p == 0 (threshold 1.0) never fires.
     fired = np.flatnonzero(adoption_u >= tables.threshold.take(key))
 
     new_states = states.copy()
     if fired.size:
-        pick_a = choice_u[fired] < tables.share.take(cell[fired])
+        pick_a = choice_u[fired] < tables.share.take(key[fired] % tables.share.size)
         new_states[fired] = np.where(states[fired] != NAIVE, STATE_AB,
                                      np.where(pick_a, STATE_A, STATE_B))
 
@@ -223,48 +236,27 @@ def step_with_draws(graph: MultiplexGraph, states: np.ndarray, active: np.ndarra
     return new_states, new_active
 
 
-def can_fire(states: np.ndarray, counts: tuple[np.ndarray, np.ndarray],
-             kernel: KernelParams, blocks: int = 1) -> np.ndarray:
-    """Per block of `states.size // blocks` consecutive nodes: True while some
-    node lacks a contagion and `counts` (`neighbor_counts`) give it an active
-    carrier of it on that contagion's layer (in exclusive mode only naive nodes lack one).
-
-    Structural: it reads carrier presence, not probabilities, so a block is
-    never False while any of its adoption probabilities is positive, for every
-    alpha >= 0, underflow included.
-    """
-    ca, cb = counts
-    if kernel.mode == EXCLUSIVE:
-        lacks_a = lacks_b = states == NAIVE
-    else:
-        lacks_a, lacks_b = (states & STATE_A) == 0, (states & STATE_B) == 0
-    fire = (lacks_a & (ca > 0)) | (lacks_b & (cb > 0))
-    return fire.reshape(blocks, -1).any(axis=1)
-
-
-def step(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray,
-         counts: tuple[np.ndarray, np.ndarray], kernel: KernelParams,
-         dormancy: DormancyParams, rngs: list[np.random.Generator],
+def step(states: np.ndarray, active: np.ndarray, key: np.ndarray, tables: StepTables,
+         rngs: list[np.random.Generator],
          quenched_draws: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One synchronous step on the population's `neighbor_counts`. `rngs` holds
-    one generator per block of `graph.n // len(rngs)` consecutive nodes; each
-    fills its block's slice of every draw row, row by row. Annealed mode draws
-    adoption, choice and dormancy uniforms; quenched mode reuses the fixed
-    per-node adoption draws and draws only the choice and dormancy rows."""
-    quenched = kernel.threshold_mode == QUENCHED
-    if quenched and quenched_draws is None:
+    """One synchronous step at the nodes' `table_keys`, reading `tables`
+    (`step_tables`). `rngs` holds one generator per block of
+    `states.size // len(rngs)` consecutive nodes; each fills its block's slice
+    of every draw row, row by row. Annealed mode draws adoption, choice and
+    dormancy uniforms; quenched mode reuses the fixed per-node adoption draws
+    and draws only the choice and dormancy rows."""
+    if tables.quenched and quenched_draws is None:
         raise ValueError("quenched threshold mode needs the per-node draws")
-    draws = np.empty((2 if quenched else 3, graph.n))
-    size = graph.n // len(rngs)
+    draws = np.empty((2 if tables.quenched else 3, states.size))
+    size = states.size // len(rngs)
     for r, rng in enumerate(rngs):
         for row in draws:
             rng.random(out=row[r * size:(r + 1) * size])
-    if quenched:
+    if tables.quenched:
         adoption_u, (choice_u, dorm_u) = quenched_draws, draws
     else:
         adoption_u, choice_u, dorm_u = draws
-    return step_with_draws(graph, states, active, counts, kernel, dormancy,
-                           adoption_u, choice_u, dorm_u)
+    return step_with_draws(states, active, key, tables, adoption_u, choice_u, dorm_u)
 
 
 def iteration_stream(config: RunConfig, iteration: int) -> np.random.Generator:
@@ -328,13 +320,14 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
     """Step the iterations `indices` as one population until each absorbs or the
     horizon ends, filling their rows of `counts` and `absorbed_at` in place.
 
-    The neighbor counts are taken when the batch starts and after every step
-    but the horizon's last, whose counts no step and no stop test would read.
-    Absorption is tested only for blocks whose step left their count row
-    unchanged: an absorbed block produces such a step, so busy steps pay
-    nothing for the test. Absorbed blocks leave the population at once: the
-    batch's graph, stream and row lists are filtered by one mask and the union
-    is rebuilt from the graphs left, so a last block steps on its own graph.
+    The tables are looked up once. The keys are taken when the batch starts
+    and after every step but the horizon's last, whose keys no step and no
+    stop test would read. Absorption is tested only for blocks whose step left
+    their count row unchanged: an absorbed block produces such a step, so busy
+    steps pay nothing for the test. Absorbed blocks leave the population at
+    once: the batch's graph, stream and row lists are filtered by one mask and
+    the union is rebuilt from the graphs left, so a last block steps on its own
+    graph.
     """
     n, kernel = config.n, config.kernel
     rngs, graphs, seeded, quenched = [], [], [], []
@@ -346,6 +339,7 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
             quenched.append(rng.random(n))
         rngs.append(rng)
     graph = _disjoint_union(graphs)
+    tables = step_tables(kernel, config.dormancy, graph.layer_a.t, graph.layer_b.t)
     states = np.concatenate([s for s, _ in seeded])
     active = np.concatenate([a for _, a in seeded])
     quenched = np.concatenate(quenched) if quenched else None
@@ -353,20 +347,19 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
     bins = np.repeat(4 * np.arange(len(rngs)), n)  # block r counts into bins 4r..4r+3
     rows = np.arange(len(rngs))  # the counts row of each block still stepping
     prev = np.bincount(bins + states, minlength=4 * rows.size).reshape(-1, 4)
-    ca, cb = neighbor_counts(graph, states, active)
+    key = table_keys(graph, states, active)
     done = 0
     while True:
-        states, active = step(graph, states, active, (ca, cb), kernel, config.dormancy, rngs,
-                              quenched)
+        states, active = step(states, active, key, tables, rngs, quenched)
         row = np.bincount(bins[:states.size] + states, minlength=4 * rows.size).reshape(-1, 4)
         counts[rows, done] = row
         done += 1
         if done == config.steps:
             break
-        ca, cb = neighbor_counts(graph, states, active)
+        key = table_keys(graph, states, active)
         absorbed = (row == prev).all(axis=1)
         if absorbed.any():
-            absorbed &= ~can_fire(states, (ca, cb), kernel, rows.size)
+            absorbed &= ~tables.fires.take(key).reshape(rows.size, -1).any(axis=1)
         prev = row
         if not absorbed.any():
             continue
@@ -376,7 +369,7 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
         if not keep.any():
             return
         nodes = np.repeat(keep, n)
-        states, active, ca, cb = states[nodes], active[nodes], ca[nodes], cb[nodes]
+        states, active, key = states[nodes], active[nodes], key[nodes]
         if quenched is not None:
             quenched = quenched[nodes]
         rngs, graphs = list(compress(rngs, keep)), list(compress(graphs, keep))

@@ -25,14 +25,15 @@ import numpy as np
 
 from codiffuse.config import spec_from_dict
 from codiffuse.engine import (
-    can_fire,
+    StepTables,
     iteration_graph,
     iteration_stream,
-    neighbor_counts,
     seed_population,
     step,
+    step_tables,
     step_with_draws,
     stream,
+    table_keys,
 )
 from codiffuse.errors import ConfigurationError, GraphGenerationError, IntegrationError
 from codiffuse.kernel import (
@@ -158,9 +159,8 @@ def empirical_adoption_freq(graph: MultiplexGraph, kernel, dormancy, target_stat
         batch = min(n_groups, trials - done)
         states, active = group_states(n_groups, target_state, a_count, b_count)
         u, v, w = rng.random((3, graph.n))
-        new_states, _ = step_with_draws(graph, states, active,
-                                        neighbor_counts(graph, states, active),
-                                        kernel, dormancy, u, v, w)
+        new_states, _ = step_with_draws(
+            states, active, *step_inputs(graph, states, active, kernel, dormancy), u, v, w)
         fired += int(np.sum(new_states[0:9 * batch:9] != states[0:9 * batch:9]))
         done += batch
     return fired / trials
@@ -173,6 +173,13 @@ def node_densities(graph: MultiplexGraph, states, active, i: int) -> Densities:
     cnt_a = sum(1 for j in nbrs_a if states[j] in (STATE_A, STATE_AB) and active[j])
     cnt_b = sum(1 for j in nbrs_b if states[j] in (STATE_B, STATE_AB) and active[j])
     return Densities(cnt_a / len(nbrs_a), cnt_b / len(nbrs_b))
+
+
+def step_inputs(graph: MultiplexGraph, states, active, kernel,
+                dormancy) -> tuple[np.ndarray, StepTables]:
+    """The `(key, tables)` pair that `engine.step` reads for this population."""
+    return (table_keys(graph, states, active),
+            step_tables(kernel, dormancy, graph.layer_a.t, graph.layer_b.t))
 
 
 def reference_step(graph: MultiplexGraph, states, active, kernel, dormancy,
@@ -208,8 +215,9 @@ def full_horizon_run(config, iteration: int) -> np.ndarray:
     quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
     counts = np.empty((config.steps, 4), dtype=np.int64)
     for t in range(config.steps):
-        states, active = step(graph, states, active, neighbor_counts(graph, states, active),
-                              config.kernel, config.dormancy, [rng], quenched)
+        states, active = step(
+            states, active, *step_inputs(graph, states, active, config.kernel, config.dormancy),
+            [rng], quenched)
         counts[t] = np.bincount(states, minlength=4)
     return counts
 
@@ -229,14 +237,16 @@ def reference_run(config, iteration: int = 0,
     prev = np.bincount(states, minlength=4)
     done = 0
     while done < config.steps:
-        states, active = step(graph, states, active, neighbor_counts(graph, states, active),
-                              config.kernel, config.dormancy, [rng], quenched)
+        states, active = step(
+            states, active, *step_inputs(graph, states, active, config.kernel, config.dormancy),
+            [rng], quenched)
         row = counts[done]
         row[:] = np.bincount(states, minlength=4)
         done += 1
-        if np.array_equal(row, prev) and not can_fire(
-                states, neighbor_counts(graph, states, active), config.kernel):
-            break
+        if np.array_equal(row, prev):
+            key, tables = step_inputs(graph, states, active, config.kernel, config.dormancy)
+            if not tables.fires.take(key).any():
+                break
         prev = row
     counts[done:] = counts[done - 1]
     return counts, done

@@ -1,8 +1,8 @@
 """Stop at absorption and the count-table step: exactness against the
-full-horizon loop, properties of `can_fire`, `neighbor_counts` and the
-vectorized step against the scalar reference on random small graphs, and one
+full-horizon loop, properties of `table_keys`, `StepTables.fires` and the
+vectorized step against the scalar reference on random small graphs, one
 gather pair per step shared by the step and the stop test, none after the
-horizon's last step."""
+horizon's last step, and one table lookup per batch."""
 
 import itertools
 import traceback
@@ -16,13 +16,12 @@ from hypothesis.extra import numpy as hnp
 import codiffuse.engine as engine
 from codiffuse.engine import (
     RunConfig,
-    can_fire,
-    neighbor_counts,
     run,
     run_ensemble,
     step,
     step_with_draws,
     stream,
+    table_keys,
 )
 from codiffuse.kernel import (
     ANNEALED,
@@ -43,6 +42,7 @@ from _harness import (
     reference_ensemble,
     reference_step,
     run_outputs_by_workers,
+    step_inputs,
 )
 
 KERNEL_MODES = list(itertools.product((INCLUSIVE, EXCLUSIVE), (ANNEALED, QUENCHED)))
@@ -97,8 +97,9 @@ class TestStopIsExact:
 # underflows in the scalar oracle and "p > 0" is exactly "an unmasked active
 # carrier in the slots".
 @st.composite
-def populations(draw, mode, thresholds, width=None):
-    """A random graph, states, activity, kernel and dormancy.
+def populations(draw, mode, thresholds, width=None, alpha=st.floats(0.0, 4.0)):
+    """A random graph, states, activity, kernel (alpha drawn from `alpha`) and
+    dormancy.
 
     The graph is a small lattice plus an RRG, a single shared lattice, or (and
     always when `width` is given) two layers of arbitrary neighbor slots,
@@ -128,7 +129,7 @@ def populations(draw, mode, thresholds, width=None):
     states = draw(hnp.arrays(np.int8, n, elements=st.integers(0, 3)))
     active = draw(hnp.arrays(np.bool_, n))
     active[states == NAIVE] = True  # naive nodes are never dormant
-    kernel = KernelParams(alpha=draw(st.floats(0.0, 4.0)),
+    kernel = KernelParams(alpha=draw(alpha),
                           k_a=draw(st.floats(0.5, 3.0)), k_b=draw(st.floats(0.5, 3.0)),
                           mode=mode, threshold_mode=thresholds)
     dormancy = DormancyParams(draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0)))
@@ -144,8 +145,8 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True, 
 
 def assert_step_matches_reference(pop, u, v, w, seed):
     graph, states, active, kernel, dormancy = pop
-    got = step_with_draws(graph, states, active, neighbor_counts(graph, states, active),
-                          kernel, dormancy, u, v, w)
+    got = step_with_draws(
+        states, active, *step_inputs(graph, states, active, kernel, dormancy), u, v, w)
     exp = reference_step(graph, states, active, kernel, dormancy, u, v, w)
     np.testing.assert_array_equal(got[0], exp[0])
     np.testing.assert_array_equal(got[1], exp[1])
@@ -153,8 +154,9 @@ def assert_step_matches_reference(pop, u, v, w, seed):
     # The stream-driven step in this threshold mode: quenched mode reuses the
     # fixed per-node draws and takes only choice and dormancy uniforms per step.
     quenched = u if kernel.threshold_mode == QUENCHED else None
-    got = step(graph, states, active, neighbor_counts(graph, states, active), kernel,
-               dormancy, [stream(seed)], quenched)
+    got = step(
+        states, active, *step_inputs(graph, states, active, kernel, dormancy),
+        [stream(seed)], quenched)
     if quenched is None:
         u, v, w = stream(seed).random((3, graph.n))
     else:
@@ -164,16 +166,21 @@ def assert_step_matches_reference(pop, u, v, w, seed):
     np.testing.assert_array_equal(got[1], exp[1])
 
 
+@pytest.mark.parametrize("alpha", [st.floats(0.0, 4.0), st.just(0.0)],
+                         ids=["alpha-0-4", "alpha-0"])
 @pytest.mark.parametrize("mode,thresholds", KERNEL_MODES)
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_can_fire_is_exactly_some_positive_probability(mode, thresholds, data):
-    graph, states, active, kernel, dormancy = data.draw(populations(mode, thresholds))
+def test_fires_is_exactly_some_positive_probability(mode, thresholds, alpha, data):
+    graph, states, active, kernel, dormancy = data.draw(populations(mode, thresholds,
+                                                                    alpha=alpha))
     probs = [adoption_probability(int(states[i]), node_densities(graph, states, active, i),
                                   kernel) for i in range(graph.n)]
-    fire = can_fire(states, neighbor_counts(graph, states, active), kernel)
-    event(f"can_fire={fire}")
-    assert fire == any(p > 0.0 for p in probs)
+    key, tables = step_inputs(graph, states, active, kernel, dormancy)
+    fires = tables.fires.take(key)
+    fire = bool(fires.any())
+    event(f"fires={fire}")
+    assert fires.tolist() == [p > 0.0 for p in probs]
     if not fire:
         # Absorbed: no draws can change a state, not even the largest uniform.
         largest = np.full((3, graph.n), np.nextafter(1.0, 0.0))
@@ -212,34 +219,41 @@ def test_every_slot_a_carrier_counts_to_t(t):
     kernel = KernelParams(alpha=1.0, k_b=1.0)  # p = 1/2 at density 1, 0 at density 0
     dormancy = DormancyParams(0.0, 0.0)
     u = np.array([0.5, 0.0])  # fires exactly when the count is t
-    new_states, _ = step_with_draws(graph, states, active,
-                                    neighbor_counts(graph, states, active), kernel, dormancy,
-                                    u, np.zeros(2), np.zeros(2))
+    new_states, _ = step_with_draws(
+        states, active, *step_inputs(graph, states, active, kernel, dormancy),
+        u, np.zeros(2), np.zeros(2))
     assert new_states[0] == STATE_B
     exp, _ = reference_step(graph, states, active, kernel, dormancy, u, np.zeros(2), np.zeros(2))
     np.testing.assert_array_equal(new_states, exp)
 
 
-def assert_counts_match_node_densities(graph, states, active):
-    ca, cb = neighbor_counts(graph, states, active)
+def assert_keys_match_node_densities(graph, states, active):
+    key = table_keys(graph, states, active)
+    t_a, t_b = graph.layer_a.t, graph.layer_b.t
+    cells = (t_a + 1) * (t_b + 1)
+    # Every key fits the type, so none wraps.
+    assert key.dtype.kind == "u" and np.iinfo(key.dtype).max >= 4 * cells - 1
     for i in range(graph.n):
+        state, cell = divmod(int(key[i]), cells)
+        ca, cb = divmod(cell, t_b + 1)
         dens = node_densities(graph, states, active, i)
+        assert state == states[i]
         # count / t is one-to-one on 0..t, so equal fractions mean equal counts.
-        assert (ca[i] / graph.layer_a.t, cb[i] / graph.layer_b.t) == (dens.dens_a, dens.dens_b)
+        assert (ca / t_a, cb / t_b) == (dens.dens_a, dens.dens_b)
 
 
 @pytest.mark.parametrize("width", [st.integers(1, 4), st.integers(128, 300)],
                          ids=["width-1-4", "width-128-300"])
 @PROPERTY_SETTINGS
 @given(data=st.data())
-def test_neighbor_counts_match_per_node_counting(width, data):
+def test_table_keys_match_per_node_counting(width, data):
     graph, states, active, _, _ = data.draw(populations(INCLUSIVE, ANNEALED, width))
-    assert_counts_match_node_densities(graph, states, active)
+    assert_keys_match_node_densities(graph, states, active)
 
 
 @settings(max_examples=5, deadline=None, derandomize=True, database=None)
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_neighbor_counts_match_per_node_counting_on_65536_slots(data, seed):
+def test_table_keys_match_per_node_counting_on_65536_slots(data, seed):
     # Counts up to 65,536 need a type wider than uint16.
     n = data.draw(st.integers(2, 3))
     rng = stream(seed)
@@ -249,17 +263,17 @@ def test_neighbor_counts_match_per_node_counting_on_65536_slots(data, seed):
     graph = MultiplexGraph(*data.draw(st.permutations((wide, narrow))))
     states = data.draw(hnp.arrays(np.int8, n, elements=st.integers(0, 3)))
     active = data.draw(hnp.arrays(np.bool_, n)) | (states == NAIVE)
-    assert_counts_match_node_densities(graph, states, active)
+    assert_keys_match_node_densities(graph, states, active)
 
 
-def test_every_gather_is_one_neighbor_counts_pair_per_step(monkeypatch):
-    # The step and the stop test read the same counts: every gather runs inside
-    # `neighbor_counts`, at most one pair per step plus one when a batch starts.
+def test_every_gather_is_one_table_keys_pair_per_step(monkeypatch):
+    # The step and the stop test read the same keys: every gather runs inside
+    # `table_keys`, at most one pair per step plus one when a batch starts.
     gathers, steps = [], []
     real_gather, real_step = engine._neighbor_count, engine.step
 
     def gather(*args):
-        gathers.append(any(f.name == "neighbor_counts" for f in traceback.extract_stack()))
+        gathers.append(any(f.name == "table_keys" for f in traceback.extract_stack()))
         return real_gather(*args)
 
     def counted_step(*args, **kwargs):
@@ -276,8 +290,25 @@ def test_every_gather_is_one_neighbor_counts_pair_per_step(monkeypatch):
     assert len(gathers) <= 2 * (len(steps) + 3)
 
 
+def test_step_tables_are_looked_up_once_per_batch(monkeypatch):
+    # A batch looks its tables up when it starts; no step looks them up again.
+    calls = []
+    real_tables = engine.step_tables
+
+    def counted_tables(*args):
+        calls.append(args)
+        return real_tables(*args)
+
+    cfg = point_config("mid_horizon", INCLUSIVE, ANNEALED, "multiplex", False)
+    monkeypatch.setattr(engine, "step_tables", counted_tables)
+    monkeypatch.setattr(engine, "BATCH_NODES", 3 * cfg.n)
+    _, absorbed_at = run_ensemble(cfg, 7)  # batches of 3, 3 and 1 iterations
+    assert (absorbed_at < cfg.steps).all()
+    assert len(calls) == 3
+
+
 def test_no_gather_after_the_horizons_last_step(monkeypatch):
-    # No step and no stop test reads the counts after the last step, so a batch
+    # No step and no stop test reads the keys after the last step, so a batch
     # that never absorbs gathers one pair when it starts and one after every
     # step but the last.
     cfg = RunConfig(kernel=KernelParams(alpha=2.0), dormancy=DormancyParams(0.0, 0.0),

@@ -21,7 +21,7 @@ from codiffuse.analysis import (
     mode_shares,
 )
 from codiffuse.config import spec_from_dict
-from codiffuse.engine import RunConfig, neighbor_counts, run_ensemble, seed_population, step, stream
+from codiffuse.engine import RunConfig, run_ensemble, seed_population, step, stream
 from codiffuse.kernel import (
     ANNEALED,
     EXCLUSIVE,
@@ -37,7 +37,13 @@ from codiffuse.kernel import (
 from codiffuse.meanfield import MeanFieldParams, MeanFieldState, integrate
 from codiffuse.sweep import sweep
 
-from _harness import Densities, adoption_probability, empirical_adoption_freq, star_groups
+from _harness import (
+    Densities,
+    adoption_probability,
+    empirical_adoption_freq,
+    star_groups,
+    step_inputs,
+)
 
 N_REF = 6400
 A_COL = CATEGORIES.index("a")
@@ -196,9 +202,9 @@ def test_criterion_08_engine_invariants_under_fuzzing():
         allowed = legal_next if mode == INCLUSIVE else legal_next_exclusive
         prev_ab = int(np.sum(states == STATE_AB))
         for _ in range(cfg.steps):
-            new_states, new_active = step(graph, states, active,
-                                          neighbor_counts(graph, states, active),
-                                          kernel, dormancy, [rng], quenched)
+            new_states, new_active = step(
+                states, active, *step_inputs(graph, states, active, kernel, dormancy),
+                [rng], quenched)
             counts = np.bincount(new_states, minlength=4)
             if counts.sum() != graph.n:
                 violations += 1

@@ -10,7 +10,6 @@ from codiffuse.engine import (
     RunConfig,
     iteration_graph,
     iteration_stream,
-    neighbor_counts,
     run,
     run_ensemble,
     seed_population,
@@ -38,6 +37,7 @@ from _harness import (
     reference_step,
     run_outputs_by_workers,
     star_groups,
+    step_inputs,
 )
 
 
@@ -97,9 +97,8 @@ class TestStepAgainstReference:
             dormancy = DormancyParams(tau_a=float(rng.choice([0.0, 0.3, 1.0])),
                                       tau_b=float(rng.uniform(0.0, 1.0)))
             u, v, w = master.random((3, n))
-            got_s, got_a = step_with_draws(graph, states, active,
-                                           neighbor_counts(graph, states, active),
-                                           kernel, dormancy, u, v, w)
+            got_s, got_a = step_with_draws(
+                states, active, *step_inputs(graph, states, active, kernel, dormancy), u, v, w)
             exp_s, exp_a = reference_step(graph, states, active, kernel, dormancy, u, v, w)
             np.testing.assert_array_equal(got_s, exp_s)
             np.testing.assert_array_equal(got_a, exp_a)
@@ -128,9 +127,10 @@ class TestStepSemantics:
         states = np.full(graph.n, NAIVE, dtype=np.int8)
         active = np.ones(graph.n, dtype=bool)
         rng = stream(44, 0)
+        kernel, dormancy = KernelParams(alpha=0.0), DormancyParams(0.5, 0.5)
         for _ in range(10):
-            states, active = step(graph, states, active, neighbor_counts(graph, states, active),
-                                  KernelParams(alpha=0.0), DormancyParams(0.5, 0.5), [rng])
+            states, active = step(
+                states, active, *step_inputs(graph, states, active, kernel, dormancy), [rng])
         assert (states == NAIVE).all() and active.all()
 
     def test_zero_rates_freeze_activity(self):
@@ -138,18 +138,20 @@ class TestStepSemantics:
         graph = random_multiplex(rng)
         cfg_kernel = KernelParams(alpha=0.5)
         states, active = seed_population(graph.n, rng)
+        dormancy = DormancyParams(0.0, 0.0)
         for _ in range(20):
-            states, active = step(graph, states, active, neighbor_counts(graph, states, active),
-                                  cfg_kernel, DormancyParams(0.0, 0.0), [rng])
+            states, active = step(
+                states, active, *step_inputs(graph, states, active, cfg_kernel, dormancy), [rng])
         assert active.all()
 
     def test_certain_dormancy_switches_off_b_each_step(self):
         rng = stream(44, 2)
         graph = random_multiplex(rng, side=6)
         states, active = seed_population(graph.n, rng)
+        kernel, dormancy = KernelParams(alpha=0.3), DormancyParams(0.0, 1.0)
         for _ in range(15):
-            states, active = step(graph, states, active, neighbor_counts(graph, states, active),
-                                  KernelParams(alpha=0.3), DormancyParams(0.0, 1.0), [rng])
+            states, active = step(
+                states, active, *step_inputs(graph, states, active, kernel, dormancy), [rng])
             assert not np.any((states == STATE_B) & active)
 
     def test_single_active_a_neighbor_rate(self):
@@ -169,9 +171,9 @@ class TestStepSemantics:
         active[0::9] = False
         kernel = KernelParams(alpha=0.5)
         u, v, w = stream(45, 0).random((3, graph.n))
-        new_states, new_active = step_with_draws(graph, states, active,
-                                                 neighbor_counts(graph, states, active), kernel,
-                                                 DormancyParams(0.0, 0.0), u, v, w)
+        new_states, new_active = step_with_draws(
+            states, active, *step_inputs(graph, states, active, kernel, DormancyParams(0.0, 0.0)),
+            u, v, w)
         adopted = new_states[0::9] == STATE_AB
         assert adopted.any()
         assert not new_active[0::9].any()
@@ -182,8 +184,9 @@ class TestStepSemantics:
         kernel = KernelParams(alpha=1.0, threshold_mode=QUENCHED)
         rng = stream(45, 1)
         quenched = rng.random(graph.n)
-        new_states, _ = step(graph, states, active, neighbor_counts(graph, states, active),
-                             kernel, DormancyParams(0.0, 0.0), [rng], quenched_draws=quenched)
+        new_states, _ = step(
+            states, active, *step_inputs(graph, states, active, kernel, DormancyParams(0.0, 0.0)),
+            [rng], quenched_draws=quenched)
         p = (0.5 / 2.0) / (1.0 + 0.5 / 2.0)  # two active of four at K=2
         targets = slice(0, None, 9)
         np.testing.assert_array_equal(new_states[targets] != NAIVE,
@@ -192,10 +195,11 @@ class TestStepSemantics:
     def test_quenched_mode_requires_draws(self):
         graph = star_groups(2)
         states, active = group_states(2, NAIVE, 1, 0)
+        key, tables = step_inputs(graph, states, active,
+                                  KernelParams(alpha=1.0, threshold_mode=QUENCHED),
+                                  DormancyParams(0.0, 0.0))
         with pytest.raises(ValueError):
-            step(graph, states, active, neighbor_counts(graph, states, active),
-                 KernelParams(alpha=1.0, threshold_mode=QUENCHED),
-                 DormancyParams(0.0, 0.0), [stream(45, 2)])
+            step(states, active, key, tables, [stream(45, 2)])
 
 
 class TestRun:

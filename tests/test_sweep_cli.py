@@ -584,13 +584,13 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
 
         stepped_on = []
-        real_step = engine.step
+        real_keys = engine.table_keys
 
-        def recording_step(graph, *args, **kwargs):
+        def recording_keys(graph, *args):
             stepped_on.append(graph)
-            return real_step(graph, *args, **kwargs)
+            return real_keys(graph, *args)
 
-        monkeypatch.setattr(engine, "step", recording_step)
+        monkeypatch.setattr(engine, "table_keys", recording_keys)
         spec = spec_from_dict(raw)
         engine.run(run_config_for(spec, 0, 0.5, 0.0, 0.0), 0)
         for label, layer in (("A", stepped_on[0].layer_a), ("B", stepped_on[0].layer_b)):

@@ -12,7 +12,7 @@ including same-step adopters, with its state's rate.
 
 Both layers are regular, so a node's adoption probability depends only on its
 state and its integer counts (ca, cb) of active carriers in its neighbor slots.
-A step therefore reads everything from tables built once per parameter set
+A step therefore reads everything from tables built once per batch
 (`step_tables`), at one flat key per node (`table_keys`), with the same float
 operations a per-node kernel evaluation would do, so every comparison sees the
 same bits.
@@ -49,7 +49,6 @@ output.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import compress
 
@@ -134,10 +133,9 @@ class StepTables:
     quenched: bool
 
 
-@functools.lru_cache(maxsize=64)
 def step_tables(kernel: KernelParams, dormancy: DormancyParams, t_a: int,
                 t_b: int) -> StepTables:
-    """Tables for layer widths t_a and t_b, built once per parameter set.
+    """Tables for layer widths t_a and t_b; a batch builds them once.
 
     The densities are count / t, and every entry is computed with the float
     operations of a per-node evaluation (`hill_term_vec`, the indicator-switched
@@ -169,8 +167,6 @@ def step_tables(kernel: KernelParams, dormancy: DormancyParams, t_a: int,
                       out=np.zeros_like(denom), where=denom > 0.0)
     rates = np.array([0.0, dormancy.tau_a, dormancy.tau_b, dormancy.tau_ab])
     threshold, fires, share = threshold.ravel(), fires.ravel(), share.ravel()
-    for table in (threshold, fires, share, rates):
-        table.flags.writeable = False  # shared by every caller through the cache
     return StepTables(threshold=threshold, fires=fires, share=share, rates=rates,
                       quenched=kernel.threshold_mode == QUENCHED)
 
@@ -320,7 +316,7 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
     """Step the iterations `indices` as one population until each absorbs or the
     horizon ends, filling their rows of `counts` and `absorbed_at` in place.
 
-    The tables are looked up once. The keys are taken when the batch starts
+    The tables are built once. The keys are taken when the batch starts
     and after every step but the horizon's last, whose keys no step and no
     stop test would read. Absorption is tested only for blocks whose step left
     their count row unchanged: an absorbed block produces such a step, so busy

@@ -5,7 +5,7 @@ Node states are small ints shared with the engine: NAIVE, STATE_A, STATE_B,
 STATE_AB. Each contagion contributes a saturating term (density / K)^alpha to
 the adoption odds; a node that already carries a contagion has that
 contagion's term switched off by its indicator. The engine evaluates the terms
-once per parameter set into lookup tables (`engine.step_tables`), the
+once per batch into lookup tables (`engine.step_tables`), the
 mean-field model per RK4 stage.
 """
 

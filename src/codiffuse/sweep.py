@@ -242,17 +242,18 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
     """Run `sets` and write each one as soon as its last unit is back; returns
     the manifest. `run` also writes every iteration's series.
 
-    A set's iterations are split into strided ranges only when workers
-    outnumber sets. A set holds its counts only until it is written. A failed
-    unit fails its set, which is recorded once under manifest["failures"] and
-    does not stop the others. This process alone writes files, each whole. Any
+    A set's iterations are split into strided ranges only when the workers
+    that can run, `workers` capped at `usable_cpus()`, outnumber sets. A set
+    holds its counts only until it is written. A failed unit fails its set,
+    which is recorded once under manifest["failures"] and does not stop the
+    others. This process alone writes files, each whole. Any
     other exception, an interrupt included, aborts the command: the manifest
     is still written, lists exactly the files on disk with their hashes and
     records the abort under one failure with index None; the exception propagates.
     """
     _ensure_dirs(out_dir, (SERIES_DIR, CEILINGS_DIR, MODALITY_DIR))
     manifest = _manifest_skeleton(spec, command, workers, sets)
-    parts = max(1, min(spec.iterations, workers // len(sets)))
+    parts = max(1, min(spec.iterations, min(workers, usable_cpus()) // len(sets)))
     units = [(s, range(k, spec.iterations, parts)) for s in sets for k in range(parts)]
     arrived: dict[int, list] = {}
     stats: dict[int, list[tuple]] = {}

@@ -153,6 +153,7 @@ def empirical_adoption_freq(graph: MultiplexGraph, kernel, dormancy, target_stat
     """Fraction of targets changing state in one engine step, over `trials` samples."""
     n_groups = graph.n // 9
     rng = stream(seed, target_state, a_count, b_count)
+    tables = step_tables(kernel, dormancy, graph.layer_a.t, graph.layer_b.t)
     fired = 0
     done = 0
     while done < trials:
@@ -160,7 +161,7 @@ def empirical_adoption_freq(graph: MultiplexGraph, kernel, dormancy, target_stat
         states, active = group_states(n_groups, target_state, a_count, b_count)
         u, v, w = rng.random((3, graph.n))
         new_states, _ = step_with_draws(
-            states, active, *step_inputs(graph, states, active, kernel, dormancy), u, v, w)
+            states, active, table_keys(graph, states, active), tables, u, v, w)
         fired += int(np.sum(new_states[0:9 * batch:9] != states[0:9 * batch:9]))
         done += batch
     return fired / trials
@@ -213,11 +214,11 @@ def full_horizon_run(config, iteration: int) -> np.ndarray:
     graph = iteration_graph(config, rng)
     states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
     quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
+    tables = step_tables(config.kernel, config.dormancy, graph.layer_a.t, graph.layer_b.t)
     counts = np.empty((config.steps, 4), dtype=np.int64)
     for t in range(config.steps):
-        states, active = step(
-            states, active, *step_inputs(graph, states, active, config.kernel, config.dormancy),
-            [rng], quenched)
+        states, active = step(states, active, table_keys(graph, states, active), tables,
+                              [rng], quenched)
         counts[t] = np.bincount(states, minlength=4)
     return counts
 
@@ -232,20 +233,19 @@ def reference_run(config, iteration: int = 0,
         graph = iteration_graph(config, rng)
     states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
     quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
+    tables = step_tables(config.kernel, config.dormancy, graph.layer_a.t, graph.layer_b.t)
 
     counts = np.empty((config.steps, 4), dtype=np.int64)
     prev = np.bincount(states, minlength=4)
     done = 0
     while done < config.steps:
-        states, active = step(
-            states, active, *step_inputs(graph, states, active, config.kernel, config.dormancy),
-            [rng], quenched)
+        states, active = step(states, active, table_keys(graph, states, active), tables,
+                              [rng], quenched)
         row = counts[done]
         row[:] = np.bincount(states, minlength=4)
         done += 1
         if np.array_equal(row, prev):
-            key, tables = step_inputs(graph, states, active, config.kernel, config.dormancy)
-            if not tables.fires.take(key).any():
+            if not tables.fires.take(table_keys(graph, states, active)).any():
                 break
         prev = row
     counts[done:] = counts[done - 1]

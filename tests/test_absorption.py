@@ -291,7 +291,7 @@ def test_every_gather_is_one_table_keys_pair_per_step(monkeypatch):
 
 
 def test_step_tables_are_looked_up_once_per_batch(monkeypatch):
-    # A batch looks its tables up when it starts; no step looks them up again.
+    # A batch builds its tables when it starts; no step builds them again.
     calls = []
     real_tables = engine.step_tables
 

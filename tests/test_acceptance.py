@@ -21,7 +21,15 @@ from codiffuse.analysis import (
     mode_shares,
 )
 from codiffuse.config import spec_from_dict
-from codiffuse.engine import RunConfig, run_ensemble, seed_population, step, stream
+from codiffuse.engine import (
+    RunConfig,
+    run_ensemble,
+    seed_population,
+    step,
+    step_tables,
+    stream,
+    table_keys,
+)
 from codiffuse.kernel import (
     ANNEALED,
     EXCLUSIVE,
@@ -42,7 +50,6 @@ from _harness import (
     adoption_probability,
     empirical_adoption_freq,
     star_groups,
-    step_inputs,
 )
 
 N_REF = 6400
@@ -201,10 +208,10 @@ def test_criterion_08_engine_invariants_under_fuzzing():
         quenched = rng.random(graph.n) if thresholds == QUENCHED else None
         allowed = legal_next if mode == INCLUSIVE else legal_next_exclusive
         prev_ab = int(np.sum(states == STATE_AB))
+        tables = step_tables(kernel, dormancy, graph.layer_a.t, graph.layer_b.t)
         for _ in range(cfg.steps):
-            new_states, new_active = step(
-                states, active, *step_inputs(graph, states, active, kernel, dormancy),
-                [rng], quenched)
+            new_states, new_active = step(states, active, table_keys(graph, states, active),
+                                          tables, [rng], quenched)
             counts = np.bincount(new_states, minlength=4)
             if counts.sum() != graph.n:
                 violations += 1

@@ -370,3 +370,43 @@ class TestBatching:
         exp_counts, exp_absorbed_at = reference_ensemble(cfg, indices)
         assert counts.tobytes() == exp_counts.tobytes()
         assert absorbed_at.tobytes() == exp_absorbed_at.tobytes()
+
+
+# name -> RunConfig graph fields of every kind of graph an iteration steps on.
+LAYER_GRAPHS = {
+    "rrg-2": {"degree": 2},
+    "rrg-4": {"degree": 4},
+    "single": {"graph_mode": "single"},
+    "frozen-rrg-2": {"degree": 2, "freeze_rrg": True},
+    "frozen-rrg-4": {"degree": 4, "freeze_rrg": True},
+}
+
+
+def assert_symmetric_and_block_confined(nbrs: np.ndarray, n: int) -> None:
+    """Every neighbor id of block r (nodes r·n .. (r+1)·n - 1) lies in block r,
+    and j appears in i's slots exactly as often as i in j's."""
+    nodes = nbrs.shape[0]
+    assert (nbrs // n == (np.arange(nodes) // n)[:, None]).all()
+    pairs = np.bincount(np.repeat(np.arange(nodes), nbrs.shape[1]) * nodes
+                        + nbrs.ravel().astype(np.int64), minlength=nodes * nodes)
+    pairs = pairs.reshape(nodes, nodes)
+    np.testing.assert_array_equal(pairs, pairs.T)
+
+
+class TestSteppedLayers:
+    """The kept-keys update after a step is exact only when every layer the
+    engine steps on is symmetric with multiplicity and never crosses a block."""
+
+    @pytest.mark.parametrize("name,side", [
+        (name, side) for name in sorted(LAYER_GRAPHS) for side in range(2, 8)
+        if side > 2 or LAYER_GRAPHS[name].get("degree") != 4])  # degree 4 needs > 4 nodes
+    def test_every_stepped_layer_is_symmetric_and_block_confined(self, name, side):
+        cfg = small_config(side=side, **LAYER_GRAPHS[name])
+        frozen = iteration_graph(cfg, None) if cfg.freeze_rrg else None
+        for blocks in (1, 2, 4):
+            graphs = [iteration_graph(cfg, iteration_stream(cfg, i)) if frozen is None
+                      else frozen for i in range(blocks)]
+            union = engine._disjoint_union(graphs)
+            assert union.n == blocks * cfg.n
+            for layer in (union.layer_a, union.layer_b):
+                assert_symmetric_and_block_confined(layer.nbrs, cfg.n)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import codiffuse
 from codiffuse.cli import main
 from codiffuse.config import spec_from_dict
 from codiffuse.sweep import (
@@ -246,11 +248,32 @@ class TestSweepOutputs:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         spec = spec_from_dict(TINY)
         sweep(spec, str(tmp_path / "many"), workers=10_000)
-        # 4 sets x 3 iterations are 12 units, but only 2 CPUs are usable.
+        # 2 usable CPUs run the 4 sets as 4 whole-set units on a pool of 2.
         assert pool_sizes == [2]
         sweep(spec, str(tmp_path / "one"), workers=1)
         assert tree_bytes(tmp_path / "many", ".csv") == tree_bytes(tmp_path / "one", ".csv")
         assert cli_mod._workers(argparse.Namespace(workers=None)) == 2
+
+    def test_sets_are_split_by_the_workers_that_can_run(self, tmp_path, monkeypatch,
+                                                        pool_sizes):
+        # Workers beyond the usable CPUs never run, so they must not cut the
+        # sets into more units: 2 CPUs and 4 sets leave every set whole.
+        import codiffuse.sweep as sweep_mod
+
+        real_task = sweep_mod._sweep_task
+        tasks = []
+
+        def counted_task(*args):
+            tasks.append(args)
+            return real_task(*args)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(sweep_mod, "_sweep_task", counted_task)
+        sweep(spec_from_dict(TINY), str(tmp_path / "many"), workers=10_000)
+        assert len(tasks) == 4
+        assert all(its == range(TINY["iterations"]) for *_, its in tasks)
+        sweep(spec_from_dict(TINY), str(tmp_path / "one"), workers=1)
+        assert tree_bytes(tmp_path / "many", ".csv") == tree_bytes(tmp_path / "one", ".csv")
 
     def test_no_one_process_pool_is_started(self, tmp_path, monkeypatch, pool_sizes):
         # A pool of one process would only add IPC and hide the work from a
@@ -729,3 +752,18 @@ class TestCli:
         proc = cli("sweep", "--workers", "0", "--out", str(tmp_path / "o"))
         assert proc.returncode == 2
         assert "worker count must be >= 1, got 0" in proc.stderr
+
+
+def test_manifest_version_is_the_projects(tmp_path):
+    # A line match, not tomllib, so the test also runs on Python 3.10.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
+    section, versions = None, []
+    with open(path) as fh:
+        for line in fh:
+            if line.startswith("["):
+                section = line.strip()
+            elif section == "[project]" and (m := re.match(r'version\s*=\s*"([^"]*)"', line)):
+                versions.append(m.group(1))
+    spec = spec_from_dict({**TINY, "alpha": [0.3], "tau_a": [0.0], "iterations": 1})
+    manifest = sweep(spec, str(tmp_path / "out"), workers=1)
+    assert versions == [codiffuse.__version__] == [manifest["version"]]

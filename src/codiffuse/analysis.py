@@ -10,7 +10,6 @@ n rather than 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,32 +75,14 @@ def silverman_bandwidth(values: np.ndarray) -> float:
     return 0.9 * min(candidates) * n ** (-0.2)
 
 
-@dataclass(frozen=True, eq=False)
-class ModalityReport:
-    """Gaussian KDE on a fixed grid plus the accepted local maxima."""
-
-    bandwidth: float
-    grid: np.ndarray  # (KDE_GRID_SIZE,)
-    density: np.ndarray  # (KDE_GRID_SIZE,)
-    modes: list[float] = field(default_factory=list)
-
-    @property
-    def mode_count(self) -> int:
-        return len(self.modes)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "bandwidth": self.bandwidth,
-            "mode_count": self.mode_count,
-            "modes": self.modes,
-            "grid": [[float(x), float(d)] for x, d in zip(self.grid, self.density)],
-        }
-
-
-def kde(values: np.ndarray) -> ModalityReport:
+def kde(values: np.ndarray) -> dict:
     """Gaussian-kernel density of the values, Silverman bandwidth h, on a
     512-point grid spanning [min - 3h, max + 3h]; modes are interior local
-    maxima with density at least 5% of the global peak."""
+    maxima with density at least 5% of the global peak.
+
+    Returns the report as modality/*.json holds it: "bandwidth", "mode_count",
+    "modes" and "grid", the density as [x, density] pairs.
+    """
     values = np.asarray(values, dtype=float).ravel()
     if values.size < 2:
         raise AnalysisError(f"kde needs at least 2 values, got {values.size}")
@@ -115,8 +96,9 @@ def kde(values: np.ndarray) -> ModalityReport:
     is_max = (interior >= density[:-2]) & (interior > density[2:])
     accepted = is_max & (interior >= MODE_PROMINENCE * density.max())
     mode_idx = np.nonzero(accepted)[0] + 1
-    modes = [float(grid[i]) for i in mode_idx]
-    return ModalityReport(bandwidth=h, grid=grid, density=density, modes=modes)
+    modes = grid[mode_idx].tolist()
+    return {"bandwidth": h, "mode_count": len(modes), "modes": modes,
+            "grid": np.stack([grid, density], axis=1).tolist()}
 
 
 def mode_shares(values: np.ndarray, modes: list[float]) -> list[float]:

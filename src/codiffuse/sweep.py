@@ -110,7 +110,7 @@ def _write_modality(out_dir: str, tag: str, ceilings: np.ndarray, files: dict[st
         report = kde(ceilings[:, CATEGORIES.index(cat)])
         rel = os.path.join(MODALITY_DIR, f"{tag}_{cat}.json")
         files[rel] = written[rel] = write_text(
-            os.path.join(out_dir, rel), json.dumps(report.to_json_dict(), sort_keys=True) + "\n")
+            os.path.join(out_dir, rel), json.dumps(report, sort_keys=True) + "\n")
     return written
 
 
@@ -211,14 +211,13 @@ def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
     """Compute every (set, iteration range) unit and hand `collect` each result,
     or the exception that failed it, in this process as it arrives.
 
-    The pool would start `min(workers, len(units), usable_cpus())` processes;
-    when that is one, this process computes every unit itself, where a tracer
-    or profiler sees it. A finished future leaves `futures` before `collect`
-    sees its result, so no result outlives its `collect` call here. When
-    `collect` raises, units not yet started are cancelled.
+    A pool of `workers` processes computes the units; at one worker, this
+    process computes every unit itself, where a tracer or profiler sees it. A
+    finished future leaves `futures` before `collect` sees its result, so no
+    result outlives its `collect` call here. When `collect` raises, units not
+    yet started are cancelled.
     """
-    size = min(workers, len(units), usable_cpus())
-    if size <= 1:
+    if workers <= 1:
         for unit in units:
             try:
                 result = _sweep_task(spec, *unit[0], unit[1])
@@ -226,7 +225,7 @@ def _run_units(spec: SweepSpec, units: list, workers: int, collect) -> None:
                 result = exc
             collect(unit, result)
         return
-    pool = cf.ProcessPoolExecutor(max_workers=size)
+    pool = cf.ProcessPoolExecutor(max_workers=workers)
     try:
         futures = {pool.submit(_sweep_task, spec, *s, its): (s, its) for s, its in units}
         for fut in cf.as_completed(futures):
@@ -243,18 +242,22 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
     the manifest. `run` also writes every iteration's series.
 
     A set's iterations are split into strided ranges only when the workers
-    that can run, `workers` capped at `usable_cpus()`, outnumber sets. A set
-    holds its counts only until it is written. A failed unit fails its set,
-    which is recorded once under manifest["failures"] and does not stop the
-    others. This process alone writes files, each whole. Any
-    other exception, an interrupt included, aborts the command: the manifest
+    that can run, `workers` capped at `usable_cpus()`, outnumber sets.
+    manifest["workers"] records the processes that ran: those workers, capped
+    again at the number of units; 1 means this process computed every unit. A
+    set holds its counts only until it is written. A failed unit fails its
+    set, which is recorded once under manifest["failures"] and does not stop
+    the others. This process alone writes files, each whole. Any other
+    exception, an interrupt included, aborts the command: the manifest
     is still written, lists exactly the files on disk with their hashes and
     records the abort under one failure with index None; the exception propagates.
     """
     _ensure_dirs(out_dir, (SERIES_DIR, CEILINGS_DIR, MODALITY_DIR))
-    manifest = _manifest_skeleton(spec, command, workers, sets)
-    parts = max(1, min(spec.iterations, min(workers, usable_cpus()) // len(sets)))
+    workers = min(workers, usable_cpus())
+    parts = max(1, min(spec.iterations, workers // len(sets)))
     units = [(s, range(k, spec.iterations, parts)) for s in sets for k in range(parts)]
+    workers = min(workers, len(units))
+    manifest = _manifest_skeleton(spec, command, workers, sets)
     arrived: dict[int, list] = {}
     stats: dict[int, list[tuple]] = {}
     files = manifest["files"]

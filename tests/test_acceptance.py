@@ -103,10 +103,10 @@ def test_criterion_02_branching_with_thick_lower_branch():
     cluster holding at least 5% of the 100 runs."""
     ceilings = a_ceilings(1.2, 0.0, 0.02, seed=2024)
     rep = kde(ceilings)
-    shares = mode_shares(ceilings, rep.modes)
-    ok = rep.mode_count >= 2 and all(s >= 0.05 for s in shares)
+    shares = mode_shares(ceilings, rep["modes"])
+    ok = rep["mode_count"] >= 2 and all(s >= 0.05 for s in shares)
     report(2, ok, "branching at (1.2, 0, 0.02)",
-           f"modes at {[round(m) for m in rep.modes]}, shares {[round(s, 2) for s in shares]}")
+           f"modes at {[round(m) for m in rep['modes']]}, shares {[round(s, 2) for s in shares]}")
 
 
 def test_criterion_03_probabilistic_blocking():
@@ -169,9 +169,9 @@ def test_criterion_07_trimodality_capability():
     for tb in [round(0.01 * k, 10) for k in range(2, 11)]:
         ceilings = a_ceilings(1.3, 0.0, tb, seed=77)
         rep = kde(ceilings)
-        scanned.append((tb, rep.mode_count))
-        if rep.mode_count >= 3:
-            found = (tb, [round(m) for m in rep.modes])
+        scanned.append((tb, rep["mode_count"]))
+        if rep["mode_count"] >= 3:
+            found = (tb, [round(m) for m in rep["modes"]])
             break
     report(7, found is not None, "trimodal ceiling distribution within the tau_b scan",
            f"scan {scanned}" + (f", modes {found[1]} at tau_b={found[0]}" if found else ""))

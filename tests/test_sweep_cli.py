@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import codiffuse
+from codiffuse.analysis import CATEGORIES, kde
 from codiffuse.cli import main
 from codiffuse.config import spec_from_dict
 from codiffuse.sweep import (
@@ -175,11 +176,24 @@ class TestSweepOutputs:
         assert tree_bytes(out, "heatmap.csv") == before_heat
         assert tree_bytes(os.path.join(out, "modality"), ".json") == before_modality
 
+    @pytest.mark.parametrize("entry, overrides", [
+        (sweep, {}),
+        (run_single, {"alpha": [0.9], "tau_a": [0.05]}),
+    ], ids=["sweep", "run"])
+    def test_modality_file_is_the_kde_of_the_stored_ceilings(self, tmp_path, entry, overrides):
+        out = tmp_path / "out"
+        entry(spec_from_dict({**TINY, **overrides}), str(out), workers=1)
+        tags = sorted(name[:-len(".csv")] for name in os.listdir(out / "ceilings"))
+        assert tags
+        for tag in tags:
+            ceilings = read_ceilings_csv(str(out / "ceilings" / f"{tag}.csv"))
+            for cat in ("a", "b"):
+                on_disk = json.loads((out / "modality" / f"{tag}_{cat}.json").read_text())
+                assert on_disk == kde(ceilings[:, CATEGORIES.index(cat)])
+
     def test_analyze_rewrites_the_hashes_of_the_files_it_rewrites(self, tmp_path, monkeypatch):
         # A KDE that rounds one ulp apart (another CPU's np.exp, say) makes
         # analyze write other modality and heatmap bytes than the sweep did.
-        import dataclasses
-
         import codiffuse.sweep as sweep_mod
 
         out = tmp_path / "out"
@@ -189,7 +203,7 @@ class TestSweepOutputs:
 
         def kde_one_ulp_off(values):
             report = real_kde(values)
-            return dataclasses.replace(report, bandwidth=np.nextafter(report.bandwidth, np.inf))
+            return {**report, "bandwidth": np.nextafter(report["bandwidth"], np.inf)}
 
         def assert_manifest_is_the_sweeps_with_the_hashes_on_disk():
             manifest = json.loads((out / "manifest.json").read_text())
@@ -219,12 +233,10 @@ class TestSweepOutputs:
         analyze(str(out))
         assert_manifest_is_the_sweeps_with_the_hashes_on_disk()
 
-    def test_pool_frees_each_result_once_collected(self, monkeypatch):
+    def test_pool_frees_each_result_once_collected(self):
         import codiffuse.sweep as sweep_mod
         from codiffuse.config import enumerate_parameter_sets
 
-        # two usable CPUs, so the units go to a pool even on a one-CPU host
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         spec = spec_from_dict(TINY)
         units = [(s, range(spec.iterations)) for s in enumerate_parameter_sets(spec)]
         collected = []
@@ -274,6 +286,15 @@ class TestSweepOutputs:
         assert all(its == range(TINY["iterations"]) for *_, its in tasks)
         sweep(spec_from_dict(TINY), str(tmp_path / "one"), workers=1)
         assert tree_bytes(tmp_path / "many", ".csv") == tree_bytes(tmp_path / "one", ".csv")
+
+    def test_manifest_records_the_workers_that_ran(self, tmp_path, monkeypatch, pool_sizes):
+        # Not the requested --workers: 2 usable CPUs run a pool of 2, 1 runs none.
+        for cpus in ({0, 1}, {0}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+            out = tmp_path / str(len(cpus))
+            sweep(spec_from_dict(TINY), str(out), workers=10_000)
+            assert json.loads((out / "manifest.json").read_text())["workers"] == len(cpus)
+        assert pool_sizes == [2]
 
     def test_no_one_process_pool_is_started(self, tmp_path, monkeypatch, pool_sizes):
         # A pool of one process would only add IPC and hide the work from a
@@ -494,8 +515,10 @@ class TestRunSingle:
 
 
 def cli(*args, cwd=None):
+    # The suite's filterwarnings (pyproject.toml) does not reach a subprocess.
     return subprocess.run([sys.executable, "-m", "codiffuse.cli", *args],
-                          capture_output=True, text=True, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONWARNINGS": "error::RuntimeWarning"})
 
 
 OVERFLOW_REPRO = {"alpha": [1.3], "tau_a": [0.0], "tau_b": [0.0], "iterations": 2,

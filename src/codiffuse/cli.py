@@ -53,10 +53,7 @@ def _load(args: argparse.Namespace) -> SweepSpec:
 
 
 def _workers(args: argparse.Namespace) -> int:
-    value = usable_cpus() if args.workers is None else args.workers
-    if value < 1:
-        raise ConfigurationError(f"worker count must be >= 1, got {value}")
-    return value
+    return usable_cpus() if args.workers is None else args.workers
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -94,10 +91,12 @@ def _cmd_graph_dump(args: argparse.Namespace) -> int:
     cfg = run_config_for(spec, *nonempty_parameter_sets(spec)[0])
     # The graph iteration 0 of the first parameter set steps on.
     graph = iteration_graph(cfg, iteration_stream(cfg, 0))
+    lattice = f"lattice(side={cfg.side})"
+    kind_b = lattice if cfg.graph_mode == "single" else f"rrg(degree={cfg.degree})"
     os.makedirs(args.out, exist_ok=True)
-    for layer, label in ((graph.layer_a, "A"), (graph.layer_b, "B")):
+    for nbrs, label, kind in ((graph.layer_a, "A", lattice), (graph.layer_b, "B", kind_b)):
         path = os.path.join(args.out, f"layer_{label}.edgelist")
-        write_text(path, edgelist(layer, label))
+        write_text(path, edgelist(nbrs, label, kind))
         print(f"wrote {path}", file=sys.stderr)
     return 0
 

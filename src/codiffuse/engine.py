@@ -66,7 +66,7 @@ from .kernel import (
     KernelParams,
     hill_term_vec,
 )
-from .topology import Layer, MultiplexGraph, build_lattice, build_rrg
+from .topology import MultiplexGraph, build_lattice, build_rrg
 
 DEFAULT_SEED = 1234
 
@@ -201,13 +201,13 @@ def table_keys(graph: MultiplexGraph, states: np.ndarray, active: np.ndarray) ->
     slots. The keys have the narrowest unsigned type that holds every key, so
     no count 0..t wraps."""
     la, lb = graph.layer_a, graph.layer_b
-    cells = (la.t + 1) * (lb.t + 1)
+    cells = (la.shape[1] + 1) * (lb.shape[1] + 1)
     dtype = np.min_scalar_type(4 * cells - 1)
-    ca, cb = (_neighbor_count((((states & bit) != 0) & active).astype(dtype), layer.nbrs)
-              for bit, layer in ((STATE_A, la), (STATE_B, lb)))
+    ca, cb = (_neighbor_count((((states & bit) != 0) & active).astype(dtype), nbrs)
+              for bit, nbrs in ((STATE_A, la), (STATE_B, lb)))
     key = states.astype(dtype)
     key *= cells
-    ca *= lb.t + 1
+    ca *= lb.shape[1] + 1
     key += ca
     key += cb
     return key
@@ -271,7 +271,7 @@ def iteration_graph(config: RunConfig, rng: np.random.Generator | None) -> Multi
         return MultiplexGraph(layer_a=lattice, layer_b=lattice)
     if config.freeze_rrg:
         rng = stream(config.master_seed, config.param_index, GRAPH_STREAM, 0)
-    return MultiplexGraph(layer_a=lattice, layer_b=build_rrg(lattice.n, config.degree, rng))
+    return MultiplexGraph(layer_a=lattice, layer_b=build_rrg(config.n, config.degree, rng))
 
 
 def run(config: RunConfig, iteration: int = 0) -> tuple[np.ndarray, int]:
@@ -335,7 +335,7 @@ def _run_batch(config: RunConfig, indices: range, frozen: MultiplexGraph | None,
             quenched.append(rng.random(n))
         rngs.append(rng)
     graph = _disjoint_union(graphs)
-    tables = step_tables(kernel, config.dormancy, graph.layer_a.t, graph.layer_b.t)
+    tables = step_tables(kernel, config.dormancy, graph.layer_a.shape[1], graph.layer_b.shape[1])
     states = np.concatenate([s for s, _ in seeded])
     active = np.concatenate([a for _, a in seeded])
     quenched = np.concatenate(quenched) if quenched else None
@@ -380,11 +380,11 @@ def _disjoint_union(graphs: list[MultiplexGraph]) -> MultiplexGraph:
     if len(graphs) == 1:
         return graphs[0]
 
-    def union(layers: list[Layer]) -> Layer:
-        nbrs = np.stack([layer.nbrs.T for layer in layers], axis=1)  # (t, R, n)
+    def union(layers: list[np.ndarray]) -> np.ndarray:
+        nbrs = np.stack([layer.T for layer in layers], axis=1)  # (t, R, n)
         t, blocks, n = nbrs.shape
         nbrs += (np.arange(blocks, dtype=nbrs.dtype) * n)[:, None]
-        return Layer(kind=f"union of {layers[0].kind}", nbrs=nbrs.reshape(t, blocks * n).T)
+        return nbrs.reshape(t, blocks * n).T
 
     layer_a = union([g.layer_a for g in graphs])
     single = graphs[0].layer_b is graphs[0].layer_a

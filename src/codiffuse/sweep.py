@@ -251,7 +251,10 @@ def _simulate(spec: SweepSpec, out_dir: str, workers: int, command: str,
     exception, an interrupt included, aborts the command: the manifest
     is still written, lists exactly the files on disk with their hashes and
     records the abort under one failure with index None; the exception propagates.
+    A worker count below 1 is refused before any directory is made.
     """
+    if workers < 1:
+        raise ConfigurationError(f"worker count must be >= 1, got {workers}")
     _ensure_dirs(out_dir, (SERIES_DIR, CEILINGS_DIR, MODALITY_DIR))
     workers = min(workers, usable_cpus())
     parts = max(1, min(spec.iterations, workers // len(sets)))

@@ -7,8 +7,8 @@ entries are kept so every node always has exactly 4 lattice neighbor slots (the
 density denominator stays fixed). From side 3 up the four slots are distinct.
 
 Every realization on one side steps on the same lattice, so `build_lattice` is
-cached and hands out one read-only `Layer` per side; only the RRG is built per
-realization.
+cached and hands out one read-only neighbor array per side; only the RRG is
+built per realization.
 """
 
 from __future__ import annotations
@@ -28,47 +28,33 @@ MAX_NODES = 2**31 - 1
 
 
 @dataclass(frozen=True, eq=False)
-class Layer:
-    """One adjacency channel. `nbrs[i]` lists node i's neighbors in a stable order."""
-
-    kind: str
-    nbrs: np.ndarray  # (n, t) int32
-
-    @property
-    def n(self) -> int:
-        return self.nbrs.shape[0]
-
-    @property
-    def t(self) -> int:
-        """Neighbor-list length, the denominator of neighborhood densities."""
-        return self.nbrs.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class MultiplexGraph:
     """Two layers over one shared node set. Contagion A reads layer_a, B reads layer_b.
 
-    In single-layer mode both fields reference the same Layer object.
+    A layer is an (n, t) int32 neighbor array in Fortran order (the engine reads
+    one column at a time): row i lists node i's t neighbor slots in a stable
+    order, and t = shape[1] is the denominator of neighborhood densities. In
+    single-layer mode both fields reference the same array.
     """
 
-    layer_a: Layer
-    layer_b: Layer
+    layer_a: np.ndarray
+    layer_b: np.ndarray
 
     def __post_init__(self):
-        if self.layer_a.n != self.layer_b.n:
+        if self.layer_a.shape[0] != self.layer_b.shape[0]:
             raise ConfigurationError("layers must share one node set")
 
     @property
     def n(self) -> int:
-        return self.layer_a.n
+        return self.layer_a.shape[0]
 
 
 @functools.lru_cache(maxsize=64)
-def build_lattice(side: int) -> Layer:
+def build_lattice(side: int) -> np.ndarray:
     """Periodic square lattice on side^2 nodes; node (r, c) has index r*side + c.
 
     Neighbors are ordered up, down, left, right with toroidal wrap. Built once
-    per side; every caller shares the one read-only `nbrs`.
+    per side; every caller shares the one read-only array.
     """
     if side < 2:
         raise ConfigurationError(f"lattice side must be >= 2, got {side}")
@@ -84,10 +70,10 @@ def build_lattice(side: int) -> Layer:
     # Fortran order: the engine reads one neighbor column at a time.
     nbrs = np.asfortranarray(np.stack([up, down, left, right], axis=1).astype(np.int32))
     nbrs.flags.writeable = False  # shared by every caller through the cache
-    return Layer(kind=f"lattice(side={side})", nbrs=nbrs)
+    return nbrs
 
 
-def build_rrg(n: int, degree: int, rng: np.random.Generator) -> Layer:
+def build_rrg(n: int, degree: int, rng: np.random.Generator) -> np.ndarray:
     """Sample a simple d-regular graph by stub pairing with full restart.
 
     Every restart re-shuffles all n*degree stubs and rejects the whole pairing
@@ -115,16 +101,16 @@ def build_rrg(n: int, degree: int, rng: np.random.Generator) -> Layer:
         src = np.concatenate([u, v]).astype(np.min_scalar_type(n - 1))
         dst = np.concatenate([v, u])
         order = np.argsort(src, kind="stable")
-        nbrs = np.asfortranarray(dst[order].reshape(n, degree).astype(np.int32))
-        return Layer(kind=f"rrg(degree={degree})", nbrs=nbrs)
+        return np.asfortranarray(dst[order].reshape(n, degree).astype(np.int32))
     raise GraphGenerationError(
         f"stub pairing failed {RRG_RESTART_BUDGET} times (n={n}, degree={degree})"
     )
 
 
-def edgelist(layer: Layer, label: str) -> str:
-    """One layer as `u v` lines, u <= v, one per neighbor slot of u, after a
-    header line. A simple layer lists each undirected edge once; a side-2
-    lattice's duplicate slots list each of its edges twice."""
-    lines = (f"{i} {j}\n" for i in range(layer.n) for j in layer.nbrs[i] if i <= j)
-    return f"# layer={label} kind={layer.kind} n={layer.n}\n" + "".join(lines)
+def edgelist(nbrs: np.ndarray, label: str, kind: str) -> str:
+    """One layer's neighbor array as `u v` lines, u <= v, one per neighbor slot
+    of u, after a `# layer=<label> kind=<kind> n=<n>` header line. A simple
+    layer lists each undirected edge once; a side-2 lattice's duplicate slots
+    list each of its edges twice."""
+    lines = (f"{i} {j}\n" for i, row in enumerate(nbrs) for j in row if i <= j)
+    return f"# layer={label} kind={kind} n={nbrs.shape[0]}\n" + "".join(lines)

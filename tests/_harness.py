@@ -49,7 +49,7 @@ from codiffuse.kernel import (
 )
 from codiffuse.meanfield import BOUNDS_TOL, Trajectory
 from codiffuse.sweep import run_single
-from codiffuse.topology import RRG_RESTART_BUDGET, Layer, MultiplexGraph
+from codiffuse.topology import RRG_RESTART_BUDGET, MultiplexGraph
 
 # The default mode, the single-layer mode (whose batches union one shared
 # lattice), and the one in which every unit of a split set rebuilds the set's
@@ -123,7 +123,7 @@ def dormancy_rate(state: int, d: DormancyParams) -> float:
 def star_groups(n_groups: int) -> MultiplexGraph:
     base = 9 * np.arange(n_groups, dtype=np.int64)[:, None]
 
-    def layer_for(src_lo: int, pair_lo: int) -> Layer:
+    def layer_for(src_lo: int, pair_lo: int) -> np.ndarray:
         nbrs = np.empty((9 * n_groups, 4), dtype=np.int64)
         nbrs[base[:, 0] + 0] = base + np.arange(src_lo, src_lo + 4)
         for off in range(src_lo, src_lo + 4):
@@ -132,7 +132,7 @@ def star_groups(n_groups: int) -> MultiplexGraph:
         for x, y in pairs:
             nbrs[base[:, 0] + x] = base + y
             nbrs[base[:, 0] + y] = base + x
-        return Layer(kind="star-test", nbrs=np.asfortranarray(nbrs.astype(np.int32)))
+        return np.asfortranarray(nbrs.astype(np.int32))
 
     return MultiplexGraph(layer_a=layer_for(1, 5), layer_b=layer_for(5, 1))
 
@@ -153,7 +153,7 @@ def empirical_adoption_freq(graph: MultiplexGraph, kernel, dormancy, target_stat
     """Fraction of targets changing state in one engine step, over `trials` samples."""
     n_groups = graph.n // 9
     rng = stream(seed, target_state, a_count, b_count)
-    tables = step_tables(kernel, dormancy, graph.layer_a.t, graph.layer_b.t)
+    tables = step_tables(kernel, dormancy, graph.layer_a.shape[1], graph.layer_b.shape[1])
     fired = 0
     done = 0
     while done < trials:
@@ -169,8 +169,8 @@ def empirical_adoption_freq(graph: MultiplexGraph, kernel, dormancy, target_stat
 
 def node_densities(graph: MultiplexGraph, states, active, i: int) -> Densities:
     """Node i's active-carrier fractions over its neighbor slots, one per layer."""
-    nbrs_a = graph.layer_a.nbrs[i]
-    nbrs_b = graph.layer_b.nbrs[i]
+    nbrs_a = graph.layer_a[i]
+    nbrs_b = graph.layer_b[i]
     cnt_a = sum(1 for j in nbrs_a if states[j] in (STATE_A, STATE_AB) and active[j])
     cnt_b = sum(1 for j in nbrs_b if states[j] in (STATE_B, STATE_AB) and active[j])
     return Densities(cnt_a / len(nbrs_a), cnt_b / len(nbrs_b))
@@ -180,7 +180,7 @@ def step_inputs(graph: MultiplexGraph, states, active, kernel,
                 dormancy) -> tuple[np.ndarray, StepTables]:
     """The `(key, tables)` pair that `engine.step` reads for this population."""
     return (table_keys(graph, states, active),
-            step_tables(kernel, dormancy, graph.layer_a.t, graph.layer_b.t))
+            step_tables(kernel, dormancy, graph.layer_a.shape[1], graph.layer_b.shape[1]))
 
 
 def reference_step(graph: MultiplexGraph, states, active, kernel, dormancy,
@@ -214,7 +214,8 @@ def full_horizon_run(config, iteration: int) -> np.ndarray:
     graph = iteration_graph(config, rng)
     states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
     quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
-    tables = step_tables(config.kernel, config.dormancy, graph.layer_a.t, graph.layer_b.t)
+    tables = step_tables(config.kernel, config.dormancy, graph.layer_a.shape[1],
+                         graph.layer_b.shape[1])
     counts = np.empty((config.steps, 4), dtype=np.int64)
     for t in range(config.steps):
         states, active = step(states, active, table_keys(graph, states, active), tables,
@@ -233,7 +234,8 @@ def reference_run(config, iteration: int = 0,
         graph = iteration_graph(config, rng)
     states, active = seed_population(graph.n, rng, config.seeds_per_contagion)
     quenched = rng.random(graph.n) if config.kernel.threshold_mode == QUENCHED else None
-    tables = step_tables(config.kernel, config.dormancy, graph.layer_a.t, graph.layer_b.t)
+    tables = step_tables(config.kernel, config.dormancy, graph.layer_a.shape[1],
+                         graph.layer_b.shape[1])
 
     counts = np.empty((config.steps, 4), dtype=np.int64)
     prev = np.bincount(states, minlength=4)
@@ -262,7 +264,7 @@ def reference_ensemble(config, iterations: range) -> tuple[np.ndarray, np.ndarra
     return counts, absorbed_at
 
 
-def reference_build_rrg(n: int, degree: int, rng: np.random.Generator) -> Layer:
+def reference_build_rrg(n: int, degree: int, rng: np.random.Generator) -> np.ndarray:
     """`topology.build_rrg` with the duplicate test through `np.unique` and the
     stable argsort on int64 sources."""
     if degree < 1 or degree >= n:
@@ -281,8 +283,7 @@ def reference_build_rrg(n: int, degree: int, rng: np.random.Generator) -> Layer:
         src = np.concatenate([u, v])
         dst = np.concatenate([v, u])
         order = np.argsort(src, kind="stable")
-        nbrs = np.asfortranarray(dst[order].reshape(n, degree).astype(np.int32))
-        return Layer(kind=f"rrg(degree={degree})", nbrs=nbrs)
+        return np.asfortranarray(dst[order].reshape(n, degree).astype(np.int32))
     raise GraphGenerationError(
         f"stub pairing failed {RRG_RESTART_BUDGET} times (n={n}, degree={degree})"
     )

@@ -33,7 +33,7 @@ from codiffuse.kernel import (
     DormancyParams,
     KernelParams,
 )
-from codiffuse.topology import Layer, MultiplexGraph, build_lattice, build_rrg
+from codiffuse.topology import MultiplexGraph, build_lattice, build_rrg
 
 from _harness import (
     adoption_probability,
@@ -112,14 +112,13 @@ def populations(draw, mode, thresholds, width=None, alpha=st.floats(0.0, 4.0)):
 
         def layer():
             t = draw(width if width is not None else st.integers(1, 4))
-            return Layer(kind="random", nbrs=draw(hnp.arrays(np.int32, (n, t),
-                                                             elements=st.integers(0, n - 1))))
+            return draw(hnp.arrays(np.int32, (n, t), elements=st.integers(0, n - 1)))
 
         layer_a = layer()
         graph = MultiplexGraph(layer_a, layer_a if draw(st.booleans()) else layer())
     else:
         lattice = build_lattice(draw(st.integers(3, 4)))
-        n = lattice.n
+        n = lattice.shape[0]
         if kind == "single":
             graph = MultiplexGraph(lattice, lattice)
         else:
@@ -211,9 +210,7 @@ def test_step_matches_reference_step_on_wide_layers(mode, thresholds, data, seed
 def test_every_slot_a_carrier_counts_to_t(t):
     # Node 0 is naive; all of its t layer-B slots hold node 1, an active B
     # carrier. Its B density is exactly 1, whatever the count type.
-    layer_a = Layer(kind="slots", nbrs=np.zeros((2, 1), dtype=np.int32))
-    layer_b = Layer(kind="slots", nbrs=np.ones((2, t), dtype=np.int32))
-    graph = MultiplexGraph(layer_a, layer_b)
+    graph = MultiplexGraph(np.zeros((2, 1), dtype=np.int32), np.ones((2, t), dtype=np.int32))
     states = np.array([NAIVE, STATE_B], dtype=np.int8)
     active = np.ones(2, dtype=bool)
     kernel = KernelParams(alpha=1.0, k_b=1.0)  # p = 1/2 at density 1, 0 at density 0
@@ -229,7 +226,7 @@ def test_every_slot_a_carrier_counts_to_t(t):
 
 def assert_keys_match_node_densities(graph, states, active):
     key = table_keys(graph, states, active)
-    t_a, t_b = graph.layer_a.t, graph.layer_b.t
+    t_a, t_b = graph.layer_a.shape[1], graph.layer_b.shape[1]
     cells = (t_a + 1) * (t_b + 1)
     # Every key fits the type, so none wraps.
     assert key.dtype.kind == "u" and np.iinfo(key.dtype).max >= 4 * cells - 1
@@ -257,9 +254,8 @@ def test_table_keys_match_per_node_counting_on_65536_slots(data, seed):
     # Counts up to 65,536 need a type wider than uint16.
     n = data.draw(st.integers(2, 3))
     rng = stream(seed)
-    wide = Layer(kind="random", nbrs=rng.integers(0, n, (n, 65536), dtype=np.int32))
-    narrow = Layer(kind="random", nbrs=rng.integers(0, n, (n, data.draw(st.integers(1, 4))),
-                                                    dtype=np.int32))
+    wide = rng.integers(0, n, (n, 65536), dtype=np.int32)
+    narrow = rng.integers(0, n, (n, data.draw(st.integers(1, 4))), dtype=np.int32)
     graph = MultiplexGraph(*data.draw(st.permutations((wide, narrow))))
     states = data.draw(hnp.arrays(np.int8, n, elements=st.integers(0, 3)))
     active = data.draw(hnp.arrays(np.bool_, n)) | (states == NAIVE)

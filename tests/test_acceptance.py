@@ -208,7 +208,7 @@ def test_criterion_08_engine_invariants_under_fuzzing():
         quenched = rng.random(graph.n) if thresholds == QUENCHED else None
         allowed = legal_next if mode == INCLUSIVE else legal_next_exclusive
         prev_ab = int(np.sum(states == STATE_AB))
-        tables = step_tables(kernel, dormancy, graph.layer_a.t, graph.layer_b.t)
+        tables = step_tables(kernel, dormancy, graph.layer_a.shape[1], graph.layer_b.shape[1])
         for _ in range(cfg.steps):
             new_states, new_active = step(states, active, table_keys(graph, states, active),
                                           tables, [rng], quenched)

@@ -50,7 +50,7 @@ def small_config(**kw):
 
 def random_multiplex(rng, side=4, degree=4):
     lat = build_lattice(side)
-    return MultiplexGraph(lat, build_rrg(lat.n, degree, rng))
+    return MultiplexGraph(lat, build_rrg(lat.shape[0], degree, rng))
 
 
 class TestSeeding:
@@ -238,7 +238,7 @@ class TestRun:
         cfg = small_config(freeze_rrg=True)
         g1 = iteration_graph(cfg, iteration_stream(cfg, 0))
         g2 = iteration_graph(cfg, iteration_stream(cfg, 1))
-        np.testing.assert_array_equal(g1.layer_b.nbrs, g2.layer_b.nbrs)
+        np.testing.assert_array_equal(g1.layer_b, g2.layer_b)
 
 
 class TestEnsemble:
@@ -291,7 +291,7 @@ class TestEnsemble:
         assert build_lattice.cache_info().misses - misses <= 1
         assert len(set(absorbed_at.tolist())) >= 3  # blocks left the batch one by one
         fresh = build_lattice.__wrapped__(cfg.side)
-        assert build_lattice(cfg.side).nbrs.tobytes() == fresh.nbrs.tobytes()
+        assert build_lattice(cfg.side).tobytes() == fresh.tobytes()
 
 
 BATCH_MODES = {
@@ -395,13 +395,16 @@ def assert_symmetric_and_block_confined(nbrs: np.ndarray, n: int) -> None:
 
 class TestSteppedLayers:
     """The kept-keys update after a step is exact only when every layer the
-    engine steps on is symmetric with multiplicity and never crosses a block."""
+    engine steps on is symmetric with multiplicity and never crosses a block.
+    `_neighbor_count` reads a layer one column at a time, so every layer is an
+    int32 array in Fortran order."""
 
     @pytest.mark.parametrize("name,side", [
         (name, side) for name in sorted(LAYER_GRAPHS) for side in range(2, 8)
         if side > 2 or LAYER_GRAPHS[name].get("degree") != 4])  # degree 4 needs > 4 nodes
     def test_every_stepped_layer_is_symmetric_and_block_confined(self, name, side):
         cfg = small_config(side=side, **LAYER_GRAPHS[name])
+        assert not build_lattice(side).flags.writeable  # the one cached lattice
         frozen = iteration_graph(cfg, None) if cfg.freeze_rrg else None
         for blocks in (1, 2, 4):
             graphs = [iteration_graph(cfg, iteration_stream(cfg, i)) if frozen is None
@@ -409,4 +412,5 @@ class TestSteppedLayers:
             union = engine._disjoint_union(graphs)
             assert union.n == blocks * cfg.n
             for layer in (union.layer_a, union.layer_b):
-                assert_symmetric_and_block_confined(layer.nbrs, cfg.n)
+                assert layer.dtype == np.int32 and layer.flags.f_contiguous
+                assert_symmetric_and_block_confined(layer, cfg.n)

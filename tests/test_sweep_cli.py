@@ -310,6 +310,16 @@ class TestSweepOutputs:
         assert (tree_bytes(tmp_path / "sweep_many", ".csv")
                 == tree_bytes(tmp_path / "sweep1", ".csv"))
 
+    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("entry", [run_single, sweep])
+    def test_worker_count_below_one_is_refused(self, tmp_path, entry, workers):
+        from codiffuse.errors import ConfigurationError
+        spec = spec_from_dict({**TINY, "alpha": [0.3], "tau_a": [0.0]})
+        out = tmp_path / "o"
+        with pytest.raises(ConfigurationError, match=f"worker count must be >= 1, got {workers}"):
+            entry(spec, str(out), workers=workers)
+        assert not out.exists()
+
     def test_failed_parameter_set_is_isolated(self, tmp_path, monkeypatch):
         import codiffuse.sweep as sweep_mod
 
@@ -616,13 +626,16 @@ class TestCli:
         assert len(a) - 1 == 72  # 2n edges at degree 4
         assert len(b) - 1 == 72
 
-    def test_graph_dump_writes_the_graph_iteration_zero_steps_on(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("mode, kind_b", [("multiplex", "rrg(degree=4)"),
+                                              ("single", "lattice(side=6)")])
+    def test_graph_dump_writes_the_graph_iteration_zero_steps_on(self, tmp_path, monkeypatch,
+                                                                 mode, kind_b):
         import codiffuse.engine as engine
         from codiffuse.config import run_config_for
         from codiffuse.topology import edgelist
 
         raw = {"alpha": [0.5], "tau_a": [0.0], "tau_b": [0.0], "steps": 5,
-               "graph": {"side": 6}, "seed": 12}
+               "graph": {"side": 6, "mode": mode}, "seed": 12}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))
         out = tmp_path / "g"
@@ -639,8 +652,12 @@ class TestCli:
         monkeypatch.setattr(engine, "table_keys", recording_keys)
         spec = spec_from_dict(raw)
         engine.run(run_config_for(spec, 0, 0.5, 0.0, 0.0), 0)
-        for label, layer in (("A", stepped_on[0].layer_a), ("B", stepped_on[0].layer_b)):
-            assert (out / f"layer_{label}.edgelist").read_text() == edgelist(layer, label)
+        graph = stepped_on[0]
+        for label, nbrs, kind in (("A", graph.layer_a, "lattice(side=6)"),
+                                  ("B", graph.layer_b, kind_b)):
+            text = (out / f"layer_{label}.edgelist").read_text()
+            assert text.startswith(f"# layer={label} kind={kind} n=36\n")
+            assert text == edgelist(nbrs, label, kind)
 
     def test_short_horizon_exits_two_before_any_output(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -21,8 +21,8 @@ def rc(side, r, c):
 
 def undirected_edges(layer):
     edges = set()
-    for u in range(layer.n):
-        for v in layer.nbrs[u]:
+    for u in range(layer.shape[0]):
+        for v in layer[u]:
             edges.add((min(u, int(v)), max(u, int(v))))
     return edges
 
@@ -30,40 +30,39 @@ def undirected_edges(layer):
 class TestLattice:
     def test_reference_scale(self):
         lat = build_lattice(80)
-        assert lat.n == 6400
-        assert lat.nbrs.shape == (6400, 4)
+        assert lat.shape == (6400, 4)
 
     def test_origin_neighbors_wrap(self):
         lat = build_lattice(80)
-        got = {int(x) for x in lat.nbrs[0]}
+        got = {int(x) for x in lat[0]}
         assert got == {rc(80, 79, 0), rc(80, 1, 0), rc(80, 0, 79), rc(80, 0, 1)}
 
     def test_side_two_wrap_keeps_duplicates(self):
         lat = build_lattice(2)
-        row = [int(x) for x in lat.nbrs[0]]
+        row = [int(x) for x in lat[0]]
         assert len(row) == 4
         assert sorted(set(row)) == [1, 2]
 
     @pytest.mark.parametrize("side, rows_with_duplicates", [(2, 4), (3, 0), (4, 0), (9, 0)])
     def test_only_side_two_has_duplicate_slots(self, side, rows_with_duplicates):
         lat = build_lattice(side)
-        assert sum(len(set(row.tolist())) < 4 for row in lat.nbrs) == rows_with_duplicates
+        assert sum(len(set(row.tolist())) < 4 for row in lat) == rows_with_duplicates
 
     def test_adjacency_symmetric(self):
         lat = build_lattice(7)
-        for u in range(lat.n):
-            for v in lat.nbrs[u]:
-                assert u in lat.nbrs[v]
+        for u in range(lat.shape[0]):
+            for v in lat[u]:
+                assert u in lat[v]
 
     def test_degree_sum_is_twice_edges(self):
         lat = build_lattice(6)
-        assert lat.nbrs.size == 2 * len(undirected_edges(lat))
+        assert lat.size == 2 * len(undirected_edges(lat))
 
     def test_one_read_only_lattice_per_side(self):
         lat = build_lattice(9)
         assert build_lattice(9) is lat
         with pytest.raises(ValueError):
-            lat.nbrs[0, 0] = 1
+            lat[0, 0] = 1
 
     def test_rejects_side_below_two(self):
         with pytest.raises(ConfigurationError):
@@ -76,18 +75,18 @@ class TestLattice:
     def test_bfs_matches_toroidal_manhattan(self):
         side = 9
         lat = build_lattice(side)
-        dist = np.full(lat.n, -1)
+        dist = np.full(lat.shape[0], -1)
         dist[0] = 0
         frontier = [0]
         while frontier:
             nxt = []
             for u in frontier:
-                for v in lat.nbrs[u]:
+                for v in lat[u]:
                     if dist[v] < 0:
                         dist[v] = dist[u] + 1
                         nxt.append(int(v))
             frontier = nxt
-        for v in range(lat.n):
+        for v in range(lat.shape[0]):
             r, c = divmod(v, side)
             assert dist[v] == min(r, side - r) + min(c, side - c)
 
@@ -95,13 +94,13 @@ class TestLattice:
 class TestRandomRegular:
     def test_reference_scale_edge_count(self):
         layer = build_rrg(6400, 4, stream(7, 0))
-        assert layer.nbrs.shape == (6400, 4)
+        assert layer.shape == (6400, 4)
         assert len(undirected_edges(layer)) == 12800
 
     def test_four_nodes_degree_three_is_complete(self):
         layer = build_rrg(4, 3, stream(7, 1))
         for u in range(4):
-            assert sorted(int(x) for x in layer.nbrs[u]) == sorted(set(range(4)) - {u})
+            assert sorted(int(x) for x in layer[u]) == sorted(set(range(4)) - {u})
 
     def test_odd_stub_count_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -117,8 +116,7 @@ class TestRandomRegular:
 
     def test_hundred_samples_simple_and_regular(self):
         for k in range(100):
-            layer = build_rrg(100, 4, stream(11, k))
-            nbrs = layer.nbrs
+            nbrs = build_rrg(100, 4, stream(11, k))
             assert not np.any(nbrs == np.arange(100)[:, None])  # no self-loops
             for u in range(100):
                 row = [int(x) for x in nbrs[u]]
@@ -129,7 +127,7 @@ class TestRandomRegular:
     def test_same_stream_same_graph(self):
         a = build_rrg(60, 4, stream(3, 5))
         b = build_rrg(60, 4, stream(3, 5))
-        np.testing.assert_array_equal(a.nbrs, b.nbrs)
+        np.testing.assert_array_equal(a, b)
 
     def test_restart_budget_reported(self):
         # degree n-1 forces the complete graph; random pairings almost never
@@ -155,26 +153,25 @@ class TestRandomRegular:
         if isinstance(exp, tuple):
             assert got == exp
         else:
-            assert got.kind == exp.kind
-            assert got.nbrs.dtype == exp.nbrs.dtype and got.nbrs.flags.f_contiguous
-            np.testing.assert_array_equal(got.nbrs, exp.nbrs)
+            assert got.dtype == exp.dtype and got.flags.f_contiguous
+            np.testing.assert_array_equal(got, exp)
 
 
 class TestMultiplex:
     def test_neighbor_lists_have_layer_degree(self):
         g = MultiplexGraph(build_lattice(10), build_rrg(100, 4, stream(2, 0)))
-        assert len(g.layer_a.nbrs[42]) == 4
-        assert len(g.layer_b.nbrs[42]) == 4
+        assert len(g.layer_a[42]) == 4
+        assert len(g.layer_b[42]) == 4
 
     def test_single_layer_mode_shares_adjacency(self):
         lat = build_lattice(10)
         g = MultiplexGraph(lat, lat)
-        assert g.layer_a.nbrs[5].tolist() == g.layer_b.nbrs[5].tolist()
+        assert g.layer_a[5].tolist() == g.layer_b[5].tolist()
 
     def test_out_of_range_node_rejected(self):
         lat = build_lattice(4)
         with pytest.raises(IndexError):
-            MultiplexGraph(lat, lat).layer_a.nbrs[16]
+            MultiplexGraph(lat, lat).layer_a[16]
 
     def test_mismatched_layers_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -183,7 +180,7 @@ class TestMultiplex:
 
 class TestEdgelistDump:
     def test_header_and_edge_lines(self):
-        lines = edgelist(build_lattice(4), "A").strip().split("\n")
+        lines = edgelist(build_lattice(4), "A", "lattice(side=4)").strip().split("\n")
         assert lines[0] == "# layer=A kind=lattice(side=4) n=16"
         assert len(lines) - 1 == 32  # 2n undirected edges on a 4-regular lattice
         u, v = lines[1].split()
@@ -192,6 +189,6 @@ class TestEdgelistDump:
 
     def test_side_two_lists_each_edge_once_per_slot(self):
         # Node order, then each node's up, down, left, right slots.
-        assert edgelist(build_lattice(2), "A") == (
+        assert edgelist(build_lattice(2), "A", "lattice(side=2)") == (
             "# layer=A kind=lattice(side=2) n=4\n"
             "0 2\n0 2\n0 1\n0 1\n1 3\n1 3\n2 3\n2 3\n")
